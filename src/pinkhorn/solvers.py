@@ -16,19 +16,25 @@ Five methods share one telemetry and stopping contract:
 * ``acc_pinkhorn``: accelerated Bregman proximal gradient with backtracking
   on the local smoothness constant and function-value restart.
 
-Stopping is always on the l1 constraint violation; the objective is logged
-but never used to stop.
+The contract lives in one driver, ``_iterate``: it alone builds the trace,
+applies the stopping rule and the trace cadence, calls the callback, and
+ends a run ``numeric_failure`` at the last valid iterate when a step would
+leave the domain.  Each method supplies only its step and its
+(objective, violation) measurement; ``sinkhorn`` and ``pinkhorn`` also share
+one log-domain potentials state.  Stopping is always on the l1 constraint
+violation; the objective is logged but never used to stop.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
 from .otx import (
+    _EXP_OVERFLOW,
     OTProblem,
     Potentials,
     _objective_from_marginals,
@@ -170,6 +176,38 @@ def smd_step(system: ConstraintSystem, x, block: int, eta: float) -> np.ndarray:
     return z
 
 
+def _iterate(cfg: SolverConfig, callback, measure, step, current) -> dict:
+    """The iteration loop every method runs; returns the report's run fields.
+
+    ``measure()`` gives (objective, l1 violation) at the current iterate,
+    ``step(k)`` moves to iterate k, ``current()`` is what the callback gets.
+    A step that would leave the domain returns False without changing the
+    iterate, and the run ends ``numeric_failure`` at that last valid iterate.
+    """
+    t0 = time.perf_counter()
+
+    def entry(k: int) -> TraceEntry:
+        objective, violation = measure()
+        return TraceEntry(k, objective, violation, (time.perf_counter() - t0) * 1e3)
+
+    trace = [entry(0)]
+    if callback is not None:
+        callback(0, current())
+    reason = stop_check(trace, cfg)
+    k = 0
+    while reason is None:
+        if not step(k + 1):
+            reason = "numeric_failure"
+            break
+        k += 1
+        last = entry(k)
+        reason = stop_check([last], cfg)
+        _keep(trace, last, force=reason is not None)
+        if callback is not None:
+            callback(k, current())
+    return {"iterations": k, "stop_reason": reason, "trace": trace}
+
+
 def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) -> SolveReport:
     """Incremental mirror descent over blocks until the violation meets tol.
 
@@ -186,27 +224,19 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
     blk_of_row = np.empty(system.n_constraints, dtype=np.intp)
     for kblk, blk in enumerate(system.blocks):
         blk_of_row[blk] = kblk
-    t0 = time.perf_counter()
-
-    def make_entry(k: int, s: np.ndarray) -> tuple[TraceEntry, np.ndarray]:
-        per = kl_terms(s, system.b)
-        viol = float(np.abs(s - system.b).sum())
-        ms = (time.perf_counter() - t0) * 1e3
-        return TraceEntry(k, float(per.sum()), viol, ms), per
-
     s = system.dots(x)
     if np.any(s <= 0.0):
         raise ValueError("x0 gives a nonpositive inner product for some constraint")
-    trace: list[TraceEntry] = []
+    per = None  # per-row penalties at x, set by measure()
     selected: list[int] = []
-    entry, per = make_entry(0, s)
-    trace.append(entry)
-    if callback is not None:
-        callback(0, x)
-    reason = stop_check(trace, cfg)
-    k = 0
-    while reason is None:
-        k += 1
+
+    def measure() -> tuple[float, float]:
+        nonlocal per
+        per = kl_terms(s, system.b)
+        return float(per.sum()), float(np.abs(s - system.b).sum())
+
+    def step(k: int) -> bool:
+        nonlocal x, s
         if cfg.sampling == "cyclic":
             block = (k - 1) % system.n_blocks
         elif cfg.sampling == "uniform":
@@ -216,28 +246,58 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
             block = int(np.argmax(block_pen))
         z = _apply_block(system, x, s, block, eta)
         if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-            k -= 1
-            reason = "numeric_failure"
-            break
+            return False
         s_new = system.dots(z)
         if np.any(s_new <= 0.0):
-            k -= 1
-            reason = "numeric_failure"
-            break
+            return False
         x, s = z, s_new
         selected.append(block)
-        entry, per = make_entry(k, s)
-        reason = stop_check([entry], cfg)
-        _keep(trace, entry, force=reason is not None)
-        if callback is not None:
-            callback(k, x)
-    return SolveReport(
-        final_iterate=x,
-        iterations=k,
-        stop_reason=reason,
-        trace=trace,
-        selected=selected or None,
-    )
+        return True
+
+    run = _iterate(cfg, callback, measure, step, lambda: x)
+    return SolveReport(final_iterate=x, **run, selected=selected or None)
+
+
+def _ot_measure(r, c, p, q) -> tuple[float, float]:
+    """(objective, l1 violation) of a plan with row sums r and column sums c."""
+    return _objective_from_marginals(r, c, p, q), float(np.abs(r - p).sum() + np.abs(c - q).sum())
+
+
+class _LogScaling:
+    """Potentials (u, v) of an OT problem with their log-sum-exps cached.
+
+    ``lse_rows`` is the row LSE of logK + v and ``lse_cols`` the column LSE
+    of logK + u, so the log-marginals are u + lse_rows and v + lse_cols.
+    ``set_u`` recomputes only ``lse_cols`` and ``set_v`` only ``lse_rows``.
+    """
+
+    def __init__(self, problem: OTProblem):
+        self.logK = gibbs_kernel(problem)
+        self.p, self.q = problem.p, problem.q
+        self.log_p, self.log_q = np.log(self.p), np.log(self.q)
+        self.u = np.zeros(problem.shape[0])
+        self.v = np.zeros(problem.shape[1])
+        self.lse_rows = log_sum_exp(self.logK + self.v[None, :], axis=1)
+        self.lse_cols = log_sum_exp(self.logK + self.u[:, None], axis=0)
+
+    def set_u(self, u: np.ndarray) -> None:
+        self.u = u
+        self.lse_cols = log_sum_exp(self.logK + u[:, None], axis=0)
+
+    def set_v(self, v: np.ndarray) -> None:
+        self.v = v
+        self.lse_rows = log_sum_exp(self.logK + v[None, :], axis=1)
+
+    def measure(self) -> tuple[float, float]:
+        r = np.exp(self.u + self.lse_rows)
+        c = np.exp(self.v + self.lse_cols)
+        return _ot_measure(r, c, self.p, self.q)
+
+    def plan(self) -> np.ndarray:
+        return np.exp(self.u[:, None] + self.logK + self.v[None, :])
+
+    def report(self, run: dict) -> SolveReport:
+        return SolveReport(final_iterate=self.plan(), **run, potentials=Potentials(self.u, self.v))
 
 
 def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
@@ -246,55 +306,20 @@ def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     Odd-numbered iterations rescale rows (u update), even-numbered ones
     rescale columns, so each iteration matches one block of the cyclic
     mirror-descent view.  Only the two potential vectors are kept; row and
-    column sums go through log-sum-exp, and the dense plan is materialized
+    column sums go through log-sum-exp, one per iteration since each update
+    reuses the LSE the previous one left, and the dense plan is materialized
     once at the end (and for callbacks).
     """
-    logK = gibbs_kernel(problem)
-    p, q = problem.p, problem.q
-    lp, lq = np.log(p), np.log(q)
-    u = np.zeros(problem.shape[0])
-    v = np.zeros(problem.shape[1])
-    t0 = time.perf_counter()
+    st = _LogScaling(problem)
 
-    def plan() -> np.ndarray:
-        return np.exp(u[:, None] + logK + v[None, :])
-
-    def make_entry(k: int, r: np.ndarray, c: np.ndarray) -> TraceEntry:
-        viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
-        obj = _objective_from_marginals(r, c, p, q)
-        return TraceEntry(k, obj, viol, (time.perf_counter() - t0) * 1e3)
-
-    r = np.exp(u + log_sum_exp(logK + v[None, :], axis=1))
-    c = np.exp(v + log_sum_exp(logK + u[:, None], axis=0))
-    trace = [make_entry(0, r, c)]
-    if callback is not None:
-        callback(0, plan())
-    reason = stop_check(trace, cfg)
-    k = 0
-    while reason is None:
-        k += 1
-        if (k - 1) % 2 == 0:
-            lse_v = log_sum_exp(logK + v[None, :], axis=1)
-            u = lp - lse_v
-            r = np.exp(u + lse_v)
-            c = np.exp(v + log_sum_exp(logK + u[:, None], axis=0))
+    def step(k: int) -> bool:
+        if k % 2:
+            st.set_u(st.log_p - st.lse_rows)
         else:
-            lse_u = log_sum_exp(logK + u[:, None], axis=0)
-            v = lq - lse_u
-            c = np.exp(v + lse_u)
-            r = np.exp(u + log_sum_exp(logK + v[None, :], axis=1))
-        entry = make_entry(k, r, c)
-        reason = stop_check([entry], cfg)
-        _keep(trace, entry, force=reason is not None)
-        if callback is not None:
-            callback(k, plan())
-    return SolveReport(
-        final_iterate=plan(),
-        iterations=k,
-        stop_reason=reason,
-        trace=trace,
-        potentials=Potentials(u, v),
-    )
+            st.set_v(st.log_q - st.lse_cols)
+        return True
+
+    return st.report(_iterate(cfg, callback, st.measure, step, st.plan))
 
 
 def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
@@ -315,30 +340,15 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
     G = np.exp(logK)
     r = G.sum(axis=1)
     c = G.sum(axis=0)
-    t0 = time.perf_counter()
-
-    def refresh() -> None:
-        nonlocal G, r, c
-        G = np.exp(u[:, None] + logK + v[None, :])
-        r = G.sum(axis=1)
-        c = G.sum(axis=0)
-
-    def make_entry(k: int) -> TraceEntry:
-        viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
-        obj = _objective_from_marginals(r, c, p, q)
-        return TraceEntry(k, obj, viol, (time.perf_counter() - t0) * 1e3)
-
-    trace = [make_entry(0)]
     selected: list[int] = []
-    if callback is not None:
-        callback(0, G.copy())
-    reason = stop_check(trace, cfg)
-    k = 0
-    while reason is None:
-        k += 1
+
+    def step(k: int) -> bool:
+        nonlocal G, r, c
         fr = kl_terms(r, p)
         fc = kl_terms(c, q)
         i = int(np.argmax(np.concatenate((fr, fc))))
+        pot, at = (u, i) if i < n else (v, i - n)
+        last = pot[at]
         if i < n:
             lse_row = log_sum_exp(logK[i] + v)
             u[i] = lp[i] - lse_row
@@ -347,33 +357,29 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
             G[i] = new_row
             r[i] = new_row.sum()
         else:
-            j = i - n
-            lse_col = log_sum_exp(logK[:, j] + u)
-            v[j] = lq[j] - lse_col
-            new_col = np.exp(v[j] + logK[:, j] + u)
-            r = r + (new_col - G[:, j])
-            G[:, j] = new_col
-            c[j] = new_col.sum()
-        selected.append(i)
+            lse_col = log_sum_exp(logK[:, at] + u)
+            v[at] = lq[at] - lse_col
+            new_col = np.exp(v[at] + logK[:, at] + u)
+            r = r + (new_col - G[:, at])
+            G[:, at] = new_col
+            c[at] = new_col.sum()
         if k % 500 == 0 or np.any(r <= 0.0) or np.any(c <= 0.0):
-            refresh()
+            G = np.exp(u[:, None] + logK + v[None, :])
+            r = G.sum(axis=1)
+            c = G.sum(axis=0)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(c))) or np.any(
             r <= 0.0
         ) or np.any(c <= 0.0):
-            k -= 1
-            selected.pop()
-            reason = "numeric_failure"
-            break
-        entry = make_entry(k)
-        reason = stop_check([entry], cfg)
-        _keep(trace, entry, force=reason is not None)
-        if callback is not None:
-            callback(k, G.copy())
+            # the iterate is (u, v); G, r and c are not read again
+            pot[at] = last
+            return False
+        selected.append(i)
+        return True
+
+    run = _iterate(cfg, callback, lambda: _ot_measure(r, c, p, q), step, lambda: G.copy())
     return SolveReport(
         final_iterate=np.exp(u[:, None] + logK + v[None, :]),
-        iterations=k,
-        stop_reason=reason,
-        trace=trace,
+        **run,
         potentials=Potentials(u, v),
         selected=selected or None,
     )
@@ -385,56 +391,28 @@ def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     The multiplicative update X <- X * (p/r)^eta outer (q/c)^eta acts on the
     potentials, so like sinkhorn this runs entirely in log domain.  The
     default eta of 1/2 makes the objective non-increasing (the penalty is
-    2-relatively smooth: one unit per constraint block).
+    2-relatively smooth: one unit per constraint block).  A step whose
+    potentials or marginals are not finite ends the run ``numeric_failure``.
     """
-    logK = gibbs_kernel(problem)
-    p, q = problem.p, problem.q
-    lp, lq = np.log(p), np.log(q)
-    u = np.zeros(problem.shape[0])
-    v = np.zeros(problem.shape[1])
+    st = _LogScaling(problem)
     eta = 0.5 if cfg.eta is None else float(cfg.eta)
-    t0 = time.perf_counter()
 
-    def log_marginals() -> tuple[np.ndarray, np.ndarray]:
-        log_r = u + log_sum_exp(logK + v[None, :], axis=1)
-        log_c = v + log_sum_exp(logK + u[:, None], axis=0)
-        return log_r, log_c
+    def step(k: int) -> bool:
+        with np.errstate(over="ignore"):
+            u = st.u + eta * (st.log_p - (st.u + st.lse_rows))
+            v = st.v + eta * (st.log_q - (st.v + st.lse_cols))
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            return False
+        last = st.u, st.v, st.lse_rows, st.lse_cols
+        st.set_u(u)
+        st.set_v(v)
+        # exp of a log-marginal is finite exactly up to _EXP_OVERFLOW
+        if (u + st.lse_rows).max() <= _EXP_OVERFLOW and (v + st.lse_cols).max() <= _EXP_OVERFLOW:
+            return True
+        st.u, st.v, st.lse_rows, st.lse_cols = last
+        return False
 
-    def plan() -> np.ndarray:
-        return np.exp(u[:, None] + logK + v[None, :])
-
-    def make_entry(k: int, r: np.ndarray, c: np.ndarray) -> TraceEntry:
-        viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
-        obj = _objective_from_marginals(r, c, p, q)
-        return TraceEntry(k, obj, viol, (time.perf_counter() - t0) * 1e3)
-
-    log_r, log_c = log_marginals()
-    trace = [make_entry(0, np.exp(log_r), np.exp(log_c))]
-    if callback is not None:
-        callback(0, plan())
-    reason = stop_check(trace, cfg)
-    k = 0
-    while reason is None:
-        k += 1
-        u = u + eta * (lp - log_r)
-        v = v + eta * (lq - log_c)
-        log_r, log_c = log_marginals()
-        entry = make_entry(k, np.exp(log_r), np.exp(log_c))
-        reason = stop_check([entry], cfg)
-        _keep(trace, entry, force=reason is not None)
-        if callback is not None:
-            callback(k, plan())
-    return SolveReport(
-        final_iterate=plan(),
-        iterations=k,
-        stop_reason=reason,
-        trace=trace,
-        potentials=Potentials(u, v),
-    )
-
-
-def _matrix_kl(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(kl_terms(a, b)))
+    return st.report(_iterate(cfg, callback, st.measure, step, st.plan))
 
 
 def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
@@ -459,15 +437,9 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     L = 2.0 if cfg.eta is None else 1.0 / float(cfg.eta)
     l_floor = 1e-6
     max_doublings = 80
-    t0 = time.perf_counter()
 
     def objective(mat: np.ndarray) -> float:
         return _objective_from_marginals(mat.sum(axis=1), mat.sum(axis=0), p, q)
-
-    def violation(mat: np.ndarray) -> float:
-        return float(
-            np.abs(mat.sum(axis=1) - p).sum() + np.abs(mat.sum(axis=0) - q).sum()
-        )
 
     def try_step(xc, zc, th, lc):
         """Backtracked accelerated step; returns (x_new, z_new, L, f_new) or None."""
@@ -483,7 +455,7 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
                 continue
             x_new = (1.0 - th) * xc + th * z_new
             f_new = objective(x_new)
-            bound = fy + float(np.sum(g * (x_new - y))) + lc * _matrix_kl(x_new, y)
+            bound = fy + float(np.sum(g * (x_new - y))) + lc * float(np.sum(kl_terms(x_new, y)))
             # slack is relative to the objective scale: an absolute slack
             # would let a too-small L pass once f is tiny, and the collapsed
             # L then makes every later step overshoot
@@ -493,40 +465,32 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         return None
 
     fx = objective(x)
-    trace = [TraceEntry(0, fx, violation(x), (time.perf_counter() - t0) * 1e3)]
-    if callback is not None:
-        callback(0, x.copy())
-    reason = stop_check(trace, cfg)
-    k = 0
-    while reason is None:
-        k += 1
-        step = try_step(x, z, theta, L)
-        if step is None:
-            k -= 1
-            reason = "numeric_failure"
-            break
-        x_new, z_new, L, f_new = step
+
+    def measure() -> tuple[float, float]:
+        return fx, float(np.abs(x.sum(axis=1) - p).sum() + np.abs(x.sum(axis=0) - q).sum())
+
+    def step(k: int) -> bool:
+        nonlocal x, z, fx, theta, L
+        nxt = try_step(x, z, theta, L)
+        if nxt is None:
+            return False
+        x_new, z_new, L, f_new = nxt
         if f_new > fx:
-            theta = 1.0
-            z = x.copy()
-            step = try_step(x, z, theta, L)
-            if step is None:
-                k -= 1
-                reason = "numeric_failure"
-                break
-            x_new, z_new, L, f_new = step
+            theta, z = 1.0, x.copy()
+            nxt = try_step(x, z, theta, L)
+            if nxt is None:
+                return False
+            x_new, z_new, L, f_new = nxt
             if f_new > fx:
                 # numerical floor: hold x, keep the z progress
                 x_new, f_new = x, fx
         x, z, fx = x_new, z_new, f_new
         L = max(L / 2.0, l_floor)
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
-        entry = TraceEntry(k, fx, violation(x), (time.perf_counter() - t0) * 1e3)
-        reason = stop_check([entry], cfg)
-        _keep(trace, entry, force=reason is not None)
-        if callback is not None:
-            callback(k, x.copy())
-    return SolveReport(final_iterate=x, iterations=k, stop_reason=reason, trace=trace)
+        return True
+
+    run = _iterate(cfg, callback, measure, step, lambda: x.copy())
+    return SolveReport(final_iterate=x, **run)
 
 
 def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:

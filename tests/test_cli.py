@@ -180,6 +180,30 @@ class TestSolveCommand:
         assert code == 2
         assert json.loads(out)["stop_reason"] == "max_iter"
 
+    def test_divergent_pinkhorn_exits_2(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        p = rng.uniform(0.5, 1.5, 8)
+        q = rng.uniform(0.5, 1.5, 8)
+        cost = tmp_path / "cost8.csv"
+        write_matrix_csv(str(cost), rng.random((8, 8)))
+        p_path, q_path = tmp_path / "p8.csv", tmp_path / "q8.csv"
+        write_vector_csv(str(p_path), p / p.sum())
+        write_vector_csv(str(q_path), q / q.sum())
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--cost", str(cost),
+            "--p", str(p_path),
+            "--q", str(q_path),
+            "--gamma", "0.1",
+            "--method", "pinkhorn",
+            "--eta", "3",
+        )
+        assert code == 2
+        summary = json.loads(out)
+        assert summary["stop_reason"] == "numeric_failure"
+        assert np.isfinite(summary["final_violation"])
+
     def test_input_errors_exit_1(self, ot_files, capsys, tmp_path):
         # missing required flag: argparse errors are remapped to exit 1
         code, _, err = run_cli(

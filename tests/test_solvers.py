@@ -27,7 +27,8 @@ from pinkhorn import (
     solve_smd,
     stop_check,
 )
-from pinkhorn.kernel import kl_terms
+from pinkhorn import solvers
+from pinkhorn.kernel import kl_terms, log_sum_exp
 
 
 def toy_system():
@@ -258,6 +259,22 @@ class TestSinkhorn:
             report.final_iterate, plan_from_potentials(prob, report.potentials), rtol=1e-13
         )
 
+    def test_one_log_sum_exp_per_iteration(self, monkeypatch):
+        # the column LSE taken for the marginals after a u update is the one
+        # the next v update needs (and vice versa), so each iteration reuses it
+        calls = []
+
+        def counting(v, axis=None):
+            calls.append(axis)
+            return log_sum_exp(v, axis=axis)
+
+        monkeypatch.setattr(solvers, "log_sum_exp", counting)
+        rng = np.random.default_rng(43)
+        prob = random_ot(rng, 7, gamma=0.3)
+        report = sinkhorn(prob, SolverConfig(tol=1e-300, max_iter=9))
+        assert report.iterations == 9
+        assert len(calls) == report.iterations + 2
+
 
 class TestGreenkhorn:
     def test_first_selection_is_worst_row(self):
@@ -299,6 +316,19 @@ class TestGreenkhorn:
         assert report.iterations > 500
         assert marginal_violation(prob, report.final_iterate) <= 1.1e-8
 
+    def test_failed_step_keeps_last_valid_iterate(self):
+        # two Gibbs kernel rows underflow to zero, so no single-row update can
+        # make every row sum positive and the first step fails
+        cost = np.array([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3], [1e3, 1e3, 1e3]])
+        prob = OTProblem(cost=cost, gamma=1.0, p=np.full(3, 1 / 3), q=np.full(3, 1 / 3))
+        plans = []
+        report = greenkhorn(prob, SolverConfig(), callback=lambda k, g: plans.append(g))
+        assert report.stop_reason == "numeric_failure"
+        assert report.iterations == 0
+        assert report.selected is None
+        np.testing.assert_array_equal(report.potentials.u, 0.0)
+        np.testing.assert_array_equal(report.final_iterate, plans[-1])
+
 
 class TestPinkhorn:
     def test_first_step_outer_update(self):
@@ -326,6 +356,28 @@ class TestPinkhorn:
         for prev, nxt in zip(objs, objs[1:]):
             assert nxt <= prev + 1e-12
         assert marginal_violation(prob, report.final_iterate) <= 1e-9
+
+    def test_divergent_stepsize_ends_numeric_failure(self):
+        # eta = 3 is far beyond the smoothness bound: the potentials oscillate
+        # with growing amplitude until the marginals overflow
+        prob = random_ot(np.random.default_rng(0), 8, gamma=0.1)
+        plans = []
+        report = pinkhorn(
+            prob,
+            SolverConfig(method="pinkhorn", eta=3.0),
+            callback=lambda k, x: plans.append(x),
+        )
+        assert report.stop_reason == "numeric_failure"
+        assert report.trace[-1].iteration == report.iterations
+        for e in report.trace:
+            assert np.isfinite(e.objective) and np.isfinite(e.violation_l1)
+        # the report holds the last valid iterate, the one the callback saw last
+        assert len(plans) == report.iterations + 1
+        assert np.all(np.isfinite(report.final_iterate))
+        np.testing.assert_array_equal(report.final_iterate, plans[-1])
+        np.testing.assert_array_equal(
+            report.final_iterate, plan_from_potentials(prob, report.potentials)
+        )
 
 
 class TestAccPinkhorn:
