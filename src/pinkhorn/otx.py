@@ -17,7 +17,6 @@ import numpy as np
 
 from .kernel import as_positive_matrix, as_positive_vector, kl_terms
 from .penalty import ConstraintSystem
-from .projection import Hyperplane
 
 __all__ = [
     "OTProblem",
@@ -163,16 +162,11 @@ def as_constraint_system(problem: OTProblem) -> ConstraintSystem:
     disjoint by construction.
     """
     n, m = problem.shape
-    rows = [
-        Hyperplane(indices=np.arange(i * m, (i + 1) * m), values=np.ones(m), b=problem.p[i])
-        for i in range(n)
-    ]
-    cols = [
-        Hyperplane(indices=np.arange(j, n * m, m), values=np.ones(n), b=problem.q[j])
-        for j in range(m)
-    ]
+    row = np.repeat(np.arange(n + m), [m] * n + [n] * m)
+    col = np.concatenate((np.arange(n * m), np.arange(n * m).reshape(n, m).T.ravel()))
+    b = np.concatenate((problem.p, problem.q))
     blocks = [list(range(n)), list(range(n, n + m))]
-    return ConstraintSystem(rows + cols, dimension=n * m, blocks=blocks)
+    return ConstraintSystem._from_entries(row, col, np.ones(2 * n * m), b, n * m, blocks)
 
 
 def round_to_feasible(problem: OTProblem, plan) -> np.ndarray:

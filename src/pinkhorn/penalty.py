@@ -10,11 +10,12 @@ normalization being the motivating case).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .kernel import kl_terms
-from .projection import Hyperplane
+from .projection import Hyperplane, _sparse_rows
 
 __all__ = [
     "ConstraintSystem",
@@ -42,67 +43,102 @@ class ConstraintSystem:
     one multiplicative update can apply every row of the block at once.  By
     default every row is its own block.
 
-    Rows are also kept in a concatenated index/value layout so that all the
-    inner products ``<a_i, x>`` can be evaluated in one vectorized pass.
+    The coefficients are stored once, in one CSR layout whose rows are in
+    block-major order, so each block's entries are one contiguous slice.
+    The API keeps the caller's row numbering (``b``, ``blocks``, ``dots``).
     """
 
     def __init__(self, rows, dimension: int, blocks=None):
         rows = list(rows)
         if not rows:
             raise ValueError("constraint system needs at least one row")
-        for r in rows:
-            if not isinstance(r, Hyperplane):
-                raise TypeError("rows must be Hyperplane instances")
-        dimension = int(dimension)
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        for i, r in enumerate(rows):
-            if int(r.indices[-1]) >= dimension:
-                raise ValueError(
-                    f"row {i} references index {int(r.indices[-1])} >= dimension {dimension}"
-                )
+        if not all(isinstance(r, Hyperplane) for r in rows):
+            raise TypeError("rows must be Hyperplane instances")
+        row = np.repeat(np.arange(len(rows)), [r.support_size for r in rows])
+        col = np.concatenate([r.indices for r in rows])
+        val = np.concatenate([r.values for r in rows])
+        self._load(row, col, val, [r.b for r in rows], dimension, blocks)
 
+    @classmethod
+    def _from_entries(cls, row, col, val, b, dimension, blocks) -> "ConstraintSystem":
+        """Build from (row, col, value) entry arrays without any Hyperplane."""
+        system = cls.__new__(cls)
+        system._load(row, col, val, b, dimension, blocks)
+        return system
+
+    def _load(self, row, col, val, b, dimension, blocks) -> None:
+        b = np.asarray(b, dtype=np.float64).reshape(-1)
         if blocks is None:
-            blocks = [[i] for i in range(len(rows))]
-        blocks = [[int(i) for i in block] for block in blocks]
-        flat = sorted(i for block in blocks for i in block)
-        if flat != list(range(len(rows))):
-            raise ValueError("blocks must partition the row indices exactly")
-        for k, block in enumerate(blocks):
-            if not block:
-                raise ValueError(f"block {k} is empty")
-            support = np.concatenate([rows[i].indices for i in block])
-            if np.unique(support).size != support.size:
-                raise ValueError(f"block {k} has rows with overlapping supports")
+            blocks = [[i] for i in range(b.size)]
+        self.blocks: list[list[int]] = [[int(i) for i in block] for block in blocks]
+        order = np.array([i for block in self.blocks for i in block], dtype=np.intp)
+        sizes = np.array([len(block) for block in self.blocks])
+        if not sizes.all() or not np.array_equal(np.sort(order), np.arange(b.size)):
+            raise ValueError("blocks must partition the row indices into nonempty blocks")
+        row = np.asarray(row, dtype=np.intp)
+        if np.any((row < 0) | (row >= b.size)):
+            raise ValueError(f"row index out of range for {b.size} targets")
 
-        self.rows: list[Hyperplane] = rows
-        self.dimension = dimension
-        self.blocks: list[list[int]] = blocks
+        self._row = order  # caller row at each stored position
+        self._pos = np.argsort(order)  # stored position of each caller row
+        self._indices, self._data, b, self._indptr = _sparse_rows(self._pos[row], col, val, b[order])
+        self.dimension = d = int(dimension)  # d < 1 fails the index check
+        if self._indices.max() >= d:
+            raise ValueError(f"a row references index {self._indices.max()} >= dimension {d}")
+        block_id = np.repeat(np.arange(sizes.size), sizes)  # per stored row
+        pairs = np.sort(np.repeat(block_id, np.diff(self._indptr)) * d + self._indices)
+        clash = pairs[1:][np.diff(pairs) == 0]  # a (block, column) pair seen twice
+        if clash.size:
+            raise ValueError(f"block {clash[0] // d} has rows with overlapping supports")
 
-        self.b = np.array([r.b for r in rows])
-        self._cat_idx = np.concatenate([r.indices for r in rows])
-        self._cat_val = np.concatenate([r.values for r in rows])
-        counts = np.array([r.support_size for r in rows])
-        self._offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        # per-block concatenated layout used by the solvers' fast path
-        self._block_idx = [np.concatenate([rows[i].indices for i in blk]) for blk in blocks]
-        self._block_val = [np.concatenate([rows[i].values for i in blk]) for blk in blocks]
-        self._block_row = [
-            np.concatenate([np.full(rows[i].support_size, i, dtype=np.intp) for i in blk])
-            for blk in blocks
-        ]
+        self.b = b[self._pos]
+        self._block_ptr = np.concatenate(([0], np.cumsum(sizes)))
+        self._block_of = block_id[self._pos]
 
     @property
     def n_constraints(self) -> int:
-        return len(self.rows)
+        return self.b.size
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def rows(self) -> list[Hyperplane]:
+        """The rows as ``Hyperplane`` objects, built on first access."""
+        return [Hyperplane(*self._entries(i), b=self.b[i]) for i in range(self.n_constraints)]
+
+    def _entries(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column indices and values of row ``i`` (views into the layout)."""
+        p = self._pos[i]
+        span = slice(self._indptr[p], self._indptr[p + 1])
+        return self._indices[span], self._data[span]
+
     def dots(self, x: np.ndarray) -> np.ndarray:
         """All inner products ``<a_i, x>`` in one vectorized pass."""
-        return np.add.reduceat(self._cat_val * x[self._cat_idx], self._offsets)
+        return np.add.reduceat(self._data * x[self._indices], self._indptr[:-1])[self._pos]
+
+    def block_sums(self, v: np.ndarray) -> np.ndarray:
+        """Sum of a per-row vector ``v`` over each block."""
+        return np.bincount(self._block_of, weights=v, minlength=self.n_blocks)
+
+    def block_update(self, x: np.ndarray, s: np.ndarray, block: int, eta: float) -> np.ndarray:
+        """Multiplicative block update z_j = x_j * prod_i (b_i/s_i)^(eta a_ij).
+
+        ``s`` holds the inner products at x; gradients of every row in the
+        block are taken at the same x, and disjoint supports keep the row
+        factors independent.
+        """
+        p0, p1 = self._block_ptr[block], self._block_ptr[block + 1]
+        lo, hi = self._indptr[p0], self._indptr[p1]
+        rows = self._row[p0:p1]
+        row_fac = np.log(self.b[rows]) - np.log(s[rows])
+        log_fac = eta * self._data[lo:hi] * np.repeat(row_fac, np.diff(self._indptr[p0 : p1 + 1]))
+        idx = self._indices[lo:hi]
+        z = x.copy()
+        with np.errstate(over="ignore", under="ignore"):
+            z[idx] = z[idx] * np.exp(log_fac)
+        return z
 
     def block_smooth_constant(self, k: int) -> float:
         """Relative-smoothness constant of one block's summed penalty.
@@ -120,40 +156,27 @@ class ConstraintSystem:
     def from_dense(cls, A, b, blocks=None) -> "ConstraintSystem":
         """Build from a dense nonnegative matrix A and positive targets b."""
         A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-        if A.shape[0] != b.size:
-            raise ValueError(f"A has {A.shape[0]} rows but b has {b.size} entries")
-        rows = [Hyperplane.from_dense(A[i], b[i]) for i in range(A.shape[0])]
-        return cls(rows, dimension=A.shape[1], blocks=blocks)
+        if A.shape[0] != np.size(b):
+            raise ValueError(f"A has {A.shape[0]} rows but b has {np.size(b)} entries")
+        row, col = np.nonzero(A)
+        return cls._from_entries(row, col, A[row, col], b, A.shape[1], blocks)
 
     @classmethod
     def from_triplets(cls, triplets, b, dimension=None, blocks=None) -> "ConstraintSystem":
         """Build from (row, col, value) triplets; n rows is set by len(b)."""
-        b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-        n = b.size
-        cols: list[list[int]] = [[] for _ in range(n)]
-        vals: list[list[float]] = [[] for _ in range(n)]
-        max_col = -1
-        for r, c, v in triplets:
-            r, c = int(r), int(c)
-            if not 0 <= r < n:
-                raise ValueError(f"triplet row {r} out of range for {n} targets")
-            cols[r].append(c)
-            vals[r].append(float(v))
-            max_col = max(max_col, c)
+        row, col, val = zip(*triplets)
         if dimension is None:
-            dimension = max_col + 1
-        rows = [Hyperplane(indices=cols[i], values=vals[i], b=b[i]) for i in range(n)]
-        return cls(rows, dimension=dimension, blocks=blocks)
+            dimension = int(max(col)) + 1
+        return cls._from_entries(row, col, val, b, dimension, blocks)
 
 
 def eval_fi(system: ConstraintSystem, i: int, x) -> float:
     """One penalty term: s log(s/b_i) - s + b_i with s = <a_i, x>."""
-    h = system.rows[i]
-    s = h.dot(np.asarray(x, dtype=np.float64))
+    idx, val = system._entries(i)
+    s = float(val @ np.asarray(x, dtype=np.float64)[idx])
     if s <= 0.0:
         raise ValueError(f"inner product for constraint {i} is not positive")
-    return float(kl_terms(s, h.b))
+    return float(kl_terms(s, system.b[i]))
 
 
 def grad_fi(system: ConstraintSystem, i: int, x) -> np.ndarray:
@@ -162,13 +185,12 @@ def grad_fi(system: ConstraintSystem, i: int, x) -> np.ndarray:
     Vanishes wherever the constraint holds, so a feasible point zeroes every
     component gradient simultaneously.
     """
-    h = system.rows[i]
-    x = np.asarray(x, dtype=np.float64)
-    s = h.dot(x)
+    idx, val = system._entries(i)
+    s = float(val @ np.asarray(x, dtype=np.float64)[idx])
     if s <= 0.0:
         raise ValueError(f"inner product for constraint {i} is not positive")
     g = np.zeros(system.dimension)
-    g[h.indices] = h.values * np.log(s / h.b)
+    g[idx] = val * np.log(s / system.b[i])
     return g
 
 
@@ -191,10 +213,7 @@ def eval_f(system: ConstraintSystem, x) -> Residual:
 def rel_smooth_constant(system: ConstraintSystem, i: int) -> float:
     """Relative-smoothness constant of f_i with respect to the entropy map.
 
-    1 for a 0/1 row; max_j a_ij in general.  The general bound follows from
+    max_j a_ij, which is 1 for a 0/1 row.  The general bound follows from
     Cauchy-Schwarz: (sum_j a_j v_j)^2 / <a,x> <= max_j a_j * sum_j v_j^2/x_j.
     """
-    h = system.rows[i]
-    if h.is_binary:
-        return 1.0
-    return float(h.values.max())
+    return float(system._entries(i)[1].max())

@@ -28,6 +28,35 @@ class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its iteration cap."""
 
 
+def _sparse_rows(row, col, val, b):
+    """Validated (row, col, value) entries of nonnegative rows with targets b.
+
+    Returns ``(col, val, b, indptr)``: explicit zeros dropped, entries sorted
+    by (row, col), row ``i`` at ``indptr[i]:indptr[i + 1]``.  Raises
+    ValueError on a bad value or target, a repeated pair or an empty row.
+    """
+    col = np.atleast_1d(np.asarray(col, dtype=np.intp))
+    val = np.atleast_1d(np.asarray(val, dtype=np.float64))
+    b = np.array(b, dtype=np.float64).reshape(-1)
+    if col.ndim != 1 or val.shape != col.shape:
+        raise ValueError("indices and values must be 1-D and equally long")
+    if not np.all(np.isfinite(b)) or np.any(b <= 0.0):
+        raise ValueError("target b must be finite and > 0")
+    if not np.all((val >= 0.0) & (val < np.inf)):
+        raise ValueError("row values must be finite and nonnegative")
+    keep = np.flatnonzero(val > 0.0)
+    keep = keep[np.lexsort((col[keep], row[keep]))]
+    row, col, val = row[keep], col[keep], val[keep]
+    if np.any(col < 0):
+        raise ValueError("row indices must be nonnegative")
+    if np.any((np.diff(row) == 0) & (np.diff(col) == 0)):
+        raise ValueError("row indices must be distinct")
+    counts = np.bincount(row, minlength=b.size)
+    if not counts.size or not counts.all():
+        raise ValueError("need at least one row, each with at least one positive entry")
+    return col, val, b, np.concatenate(([0], np.cumsum(counts)))
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Sparse nonnegative constraint row ``<a, x> = b`` with target ``b > 0``.
@@ -43,27 +72,9 @@ class Hyperplane:
     is_binary: bool = field(init=False)
 
     def __post_init__(self):
-        idx = np.atleast_1d(np.asarray(self.indices, dtype=np.intp))
-        val = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if idx.ndim != 1 or val.ndim != 1 or idx.size != val.size:
-            raise ValueError("indices and values must be 1-D and equally long")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("row values must be finite")
-        if np.any(val < 0.0):
-            raise ValueError("row values must be nonnegative")
-        keep = val > 0.0
-        idx, val = idx[keep], val[keep]
-        if idx.size == 0:
-            raise ValueError("row must have at least one positive entry")
-        if np.any(idx < 0):
-            raise ValueError("row indices must be nonnegative")
-        order = np.argsort(idx)
-        idx, val = idx[order], val[order]
-        if idx.size > 1 and np.any(np.diff(idx) == 0):
-            raise ValueError("row indices must be distinct")
         b = float(self.b)
-        if not np.isfinite(b) or b <= 0.0:
-            raise ValueError("target b must be finite and > 0")
+        row = np.zeros(np.size(self.indices), dtype=np.intp)
+        idx, val, _, _ = _sparse_rows(row, self.indices, self.values, b)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
         object.__setattr__(self, "b", b)
@@ -72,11 +83,7 @@ class Hyperplane:
     @classmethod
     def from_dense(cls, a, b: float) -> "Hyperplane":
         """Build a row from a dense coefficient vector, keeping its nonzeros."""
-        a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-        if a.ndim != 1:
-            raise ValueError("dense row must be 1-D")
-        nz = np.nonzero(a)[0]
-        return cls(indices=nz, values=a[nz], b=b)
+        return cls(indices=np.arange(np.size(a)), values=a, b=b)
 
     @property
     def support_size(self) -> int:

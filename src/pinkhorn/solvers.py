@@ -62,7 +62,7 @@ __all__ = [
 METHODS = ("sinkhorn", "greenkhorn", "pinkhorn", "acc_pinkhorn", "smd")
 SAMPLINGS = ("cyclic", "uniform", "greedy")
 
-# trace keeps every iteration up to this point, then every tenth
+# trace keeps every iteration up to this point, then every tenth and the last
 _DENSE_TRACE_LIMIT = 1000
 
 
@@ -130,28 +130,6 @@ def stop_check(trace, cfg: SolverConfig) -> str | None:
     return None
 
 
-def _keep(trace: list[TraceEntry], entry: TraceEntry, force: bool) -> None:
-    if force or entry.iteration <= _DENSE_TRACE_LIMIT or entry.iteration % 10 == 0:
-        trace.append(entry)
-
-
-def _apply_block(system: ConstraintSystem, x, s, block: int, eta: float) -> np.ndarray:
-    """Multiplicative block update z_j = x_j * prod_i (b_i/s_i)^(eta a_ij).
-
-    ``s`` holds all inner products at x; gradients of every row in the
-    block are taken at the same x, and disjoint supports keep the row
-    factors independent.
-    """
-    idx = system._block_idx[block]
-    val = system._block_val[block]
-    row = system._block_row[block]
-    log_fac = eta * val * (np.log(system.b) - np.log(s))[row]
-    z = x.copy()
-    with np.errstate(over="ignore", under="ignore"):
-        z[idx] = z[idx] * np.exp(log_fac)
-    return z
-
-
 def smd_step(system: ConstraintSystem, x, block: int, eta: float) -> np.ndarray:
     """One mirror step on the summed penalty of a block.
 
@@ -170,7 +148,7 @@ def smd_step(system: ConstraintSystem, x, block: int, eta: float) -> np.ndarray:
     s = system.dots(x)
     if np.any(s[system.blocks[block]] <= 0.0):
         raise ValueError("a block constraint has a nonpositive inner product")
-    z = _apply_block(system, x, s, block, eta)
+    z = system.block_update(x, s, block, eta)
     if not np.all(np.isfinite(z)):
         raise OverflowError("mirror step overflowed")
     return z
@@ -190,7 +168,8 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current) -> dict:
         objective, violation = measure()
         return TraceEntry(k, objective, violation, (time.perf_counter() - t0) * 1e3)
 
-    trace = [entry(0)]
+    last = entry(0)
+    trace = [last]
     if callback is not None:
         callback(0, current())
     reason = stop_check(trace, cfg)
@@ -202,9 +181,12 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current) -> dict:
         k += 1
         last = entry(k)
         reason = stop_check([last], cfg)
-        _keep(trace, last, force=reason is not None)
+        if k <= _DENSE_TRACE_LIMIT or k % 10 == 0:
+            trace.append(last)
         if callback is not None:
             callback(k, current())
+    if trace[-1] is not last:  # the last iterate's entry is kept whatever the cadence
+        trace.append(last)
     return {"iterations": k, "stop_reason": reason, "trace": trace}
 
 
@@ -221,9 +203,6 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         raise ValueError(f"x0 has length {x.size}, expected {system.dimension}")
     eta = 1.0 if cfg.eta is None else float(cfg.eta)
     rng = np.random.default_rng(cfg.seed)
-    blk_of_row = np.empty(system.n_constraints, dtype=np.intp)
-    for kblk, blk in enumerate(system.blocks):
-        blk_of_row[blk] = kblk
     s = system.dots(x)
     if np.any(s <= 0.0):
         raise ValueError("x0 gives a nonpositive inner product for some constraint")
@@ -242,9 +221,8 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         elif cfg.sampling == "uniform":
             block = int(rng.integers(system.n_blocks))
         else:
-            block_pen = np.bincount(blk_of_row, weights=per, minlength=system.n_blocks)
-            block = int(np.argmax(block_pen))
-        z = _apply_block(system, x, s, block, eta)
+            block = int(np.argmax(system.block_sums(per)))
+        z = system.block_update(x, s, block, eta)
         if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
             return False
         s_new = system.dots(z)

@@ -6,6 +6,8 @@ import pytest
 from pinkhorn import (
     ConstraintSystem,
     Hyperplane,
+    OTProblem,
+    as_constraint_system,
     eval_f,
     eval_fi,
     grad_fi,
@@ -77,6 +79,90 @@ class TestConstraintSystem:
             ConstraintSystem([row], dimension=4)  # index 4 needs dimension 5
         with pytest.raises(ValueError):
             ConstraintSystem([row], dimension=0)
+
+
+_A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
+_B = [1.0, 2.0]
+
+
+def _with(i, j, value):
+    A = _A.copy()
+    A[i, j] = value
+    return A
+
+
+def _dense(A, b=_B):
+    return lambda: ConstraintSystem.from_dense(A, b)
+
+
+def _triplets(A, b=_B):
+    # every entry, explicit zeros included
+    trips = [(i, j, A[i, j]) for i in range(A.shape[0]) for j in range(A.shape[1])]
+    return lambda: ConstraintSystem.from_triplets(trips, b, dimension=A.shape[1])
+
+
+_VALUE, _TARGET, _EMPTY = "row values must be", "target b must be", "at least one positive entry"
+_INVALID = {
+    "negative value": (_with(0, 1, -1.0), _B, _VALUE),
+    "nan value": (_with(0, 1, np.nan), _B, _VALUE),
+    "inf value": (_with(1, 2, np.inf), _B, _VALUE),
+    "row empty once zeros drop": (np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 1.0]]), _B, _EMPTY),
+    "zero b": (_A, [1.0, 0.0], _TARGET),
+    "negative b": (_A, [-1.0, 2.0], _TARGET),
+    "nan b": (_A, [np.nan, 2.0], _TARGET),
+    "inf b": (_A, [1.0, np.inf], _TARGET),
+}
+_INVALID_BUILDS = {
+    f"{kind} {name}": (build(A, b), match)
+    for name, (A, b, match) in _INVALID.items()
+    for kind, build in (("dense", _dense), ("triplets", _triplets))
+}
+_INVALID_BUILDS["triplets duplicate pair"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (0, 0, 2.0), (1, 1, 1.0)], _B, dimension=3),
+    "must be distinct",
+)
+_INVALID_BUILDS["triplets column >= dimension"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (1, 3, 1.0)], _B, dimension=3),
+    "references index 3 >= dimension 3",
+)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("build, match", list(_INVALID_BUILDS.values()), ids=list(_INVALID_BUILDS))
+    def test_rejects_invalid_input(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize("build", [_dense(_A), _triplets(_A)], ids=["dense", "triplets"])
+    def test_explicit_zeros_are_dropped(self, build):
+        system = build()
+        np.testing.assert_array_equal(system.rows[0].indices, [0, 2])
+        np.testing.assert_array_equal(system.rows[0].values, [1.0, 2.0])
+        np.testing.assert_array_equal(system.rows[1].indices, [1, 2])
+        np.testing.assert_array_equal(system.dots(np.array([1.0, 2.0, 3.0])), [7.0, 9.0])
+
+    def test_only_rows_builds_hyperplanes(self, monkeypatch):
+        made = []
+        init = Hyperplane.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Hyperplane, "__init__", counting_init)
+        prob = OTProblem(cost=np.arange(12.0).reshape(3, 4), gamma=1.0, p=[0.5, 0.25, 0.25], q=[0.25] * 4)
+        systems = [
+            as_constraint_system(prob),
+            ConstraintSystem.from_dense(_A, _B),
+            ConstraintSystem.from_triplets([(0, 0, 1.0), (1, 1, 2.0)], _B),
+        ]
+        assert made == []
+        for system in systems:
+            rows = system.rows
+            assert len(made) == system.n_constraints
+            assert system.rows is rows
+            assert len(made) == system.n_constraints
+            made.clear()
 
 
 class TestObjective:

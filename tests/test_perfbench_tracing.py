@@ -1,0 +1,58 @@
+"""The benchmark tracer still finds every pinkhorn name it rebinds.
+
+``perfbench/tracing.py`` wraps module globals and class methods of the
+package from outside and refuses to install when one has moved, so a
+refactor that moves such a name fails here instead of in a traced run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import pinkhorn
+import pinkhorn.cli  # noqa: F401  (the tracer wraps cli functions too)
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(tracing):
+    """Every (owner, attribute) the tracer rebinds, with its current value."""
+    found = {}
+    for _, attr, sites in tracing.FUNCTIONS.values():
+        for site in sites:
+            owner = pinkhorn if site == "" else getattr(pinkhorn, site)
+            found[(owner.__name__, attr)] = getattr(owner, attr)
+    for module, cls_name, attr in tracing.METHODS.values():
+        found[(cls_name, attr)] = getattr(pinkhorn, module).__dict__[cls_name].__dict__[attr]
+    return found
+
+
+def test_tracer_installs_records_and_uninstalls():
+    tracing = _load_tracing()
+    before = _bindings(tracing)
+    tracer = tracing.Tracer(pinkhorn)
+    tracer.install()
+    try:
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        problem = pinkhorn.OTProblem(cost=cost, gamma=1.0, p=[0.5, 0.5], q=[0.4, 0.6])
+        cfg = pinkhorn.SolverConfig(method="smd", tol=1e-9)
+        report = tracer.run_job("smoke", lambda: pinkhorn.solve(problem, cfg))
+    finally:
+        tracer.uninstall()
+    assert report.stop_reason == "converged"
+    totals = tracer.layer_totals()
+    assert totals["otx.as_constraint_system"]["calls"] == 1
+    assert totals["solvers.smd"]["calls"] == 1
+    assert totals["penalty.dots"]["calls"] == report.iterations + 1
+    assert totals["projection.Hyperplane"]["calls"] == 0
+    after = _bindings(tracing)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

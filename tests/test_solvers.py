@@ -432,3 +432,99 @@ class TestDispatchAndTrace:
         iters = [e.iteration for e in report.trace]
         expected = list(range(0, 1001)) + list(range(1010, 1491, 10)) + [1495]
         assert iters == expected
+
+    @pytest.mark.parametrize("fail_at", [1005, 1011])
+    def test_failed_step_keeps_last_trace_entry(self, fail_at):
+        # iteration 1004 falls between the every-tenth entries kept past 1000
+        run = solvers._iterate(
+            SolverConfig(max_iter=5000), None, lambda: (1.0, 1.0), lambda k: k < fail_at, lambda: None
+        )
+        assert run["stop_reason"] == "numeric_failure"
+        assert run["iterations"] == fail_at - 1
+        iters = [e.iteration for e in run["trace"]]
+        assert iters[-1] == run["iterations"]
+        assert len(iters) == len(set(iters))
+
+
+# rows 3 and 0 share block 0, rows 2 and 4 block 2: neither block is a
+# contiguous, sorted run of row indices
+NONCONTIG_A = np.array(
+    [
+        [1.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+        [0.5, 0.0, 1.5, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 3.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, 0.0, 0.5],
+        [0.7, 0.0, 0.0, 0.0, 1.2, 1.0],
+    ]
+)
+NONCONTIG_BLOCKS = [[3, 0], [1], [2, 4]]
+NONCONTIG_B = NONCONTIG_A @ np.linspace(0.5, 1.5, 6)
+
+
+def _noncontig_dense():
+    return ConstraintSystem.from_dense(NONCONTIG_A, NONCONTIG_B, blocks=NONCONTIG_BLOCKS)
+
+
+def _noncontig_triplets():
+    rows, cols = np.nonzero(NONCONTIG_A)
+    trips = list(zip(rows.tolist(), cols.tolist(), NONCONTIG_A[rows, cols].tolist()))
+    return ConstraintSystem.from_triplets(trips, NONCONTIG_B, dimension=6, blocks=NONCONTIG_BLOCKS)
+
+
+def _noncontig_rows():
+    rows = [Hyperplane.from_dense(a, b) for a, b in zip(NONCONTIG_A, NONCONTIG_B)]
+    return ConstraintSystem(rows, dimension=6, blocks=NONCONTIG_BLOCKS)
+
+
+def _dense_block_step(x, block, eta):
+    s = NONCONTIG_A @ x
+    z = x.copy()
+    for i in NONCONTIG_BLOCKS[block]:
+        z = z * (NONCONTIG_B[i] / s[i]) ** (eta * NONCONTIG_A[i])
+    return z
+
+
+def _dense_block_choice(sampling, k, x, rng):
+    if sampling == "cyclic":
+        return (k - 1) % len(NONCONTIG_BLOCKS)
+    if sampling == "uniform":
+        return int(rng.integers(len(NONCONTIG_BLOCKS)))
+    s = NONCONTIG_A @ x
+    per = s * np.log(s / NONCONTIG_B) - s + NONCONTIG_B
+    return int(np.argmax([per[blk].sum() for blk in NONCONTIG_BLOCKS]))
+
+
+@pytest.mark.parametrize("build", [_noncontig_dense, _noncontig_triplets, _noncontig_rows])
+class TestNonContiguousBlocks:
+    def test_layout_keeps_caller_numbering(self, build):
+        system = build()
+        assert system.blocks == NONCONTIG_BLOCKS
+        np.testing.assert_array_equal(system.b, NONCONTIG_B)
+        for i, row in enumerate(system.rows):
+            np.testing.assert_array_equal(row.indices, np.nonzero(NONCONTIG_A[i])[0])
+            np.testing.assert_array_equal(row.values, NONCONTIG_A[i][NONCONTIG_A[i] > 0])
+
+    def test_dots_and_steps_match_dense_reference(self, build):
+        system = build()
+        rng = np.random.default_rng(60)
+        for _ in range(5):
+            x = rng.uniform(0.1, 3.0, 6)
+            np.testing.assert_allclose(system.dots(x), NONCONTIG_A @ x, rtol=1e-14)
+            for block in range(3):
+                np.testing.assert_allclose(
+                    smd_step(system, x, block, 0.7), _dense_block_step(x, block, 0.7), rtol=1e-12
+                )
+
+    @pytest.mark.parametrize("sampling", ["cyclic", "uniform", "greedy"])
+    def test_solve_smd_matches_dense_reference(self, build, sampling):
+        x0 = np.linspace(2.0, 0.5, 6)
+        cfg = SolverConfig(method="smd", sampling=sampling, eta=0.5, tol=1e-300, max_iter=40, seed=3)
+        report = solve_smd(build(), x0, cfg)
+        rng = np.random.default_rng(3)
+        x, chosen = x0, []
+        for k in range(1, 41):
+            chosen.append(_dense_block_choice(sampling, k, x, rng))
+            x = _dense_block_step(x, chosen[-1], 0.5)
+        assert report.stop_reason == "max_iter"
+        assert report.selected == chosen
+        np.testing.assert_allclose(report.final_iterate, x, rtol=1e-10)
