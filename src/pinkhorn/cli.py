@@ -172,8 +172,14 @@ def _solver_config(args, method: str | None = None) -> SolverConfig:
         raise CliInputError(str(exc)) from exc
 
 
-def _exit_code(stop_reason: str) -> int:
-    return 0 if stop_reason == "converged" else 2
+def _finish(args, report, summary: dict, write_solution, solution) -> int:
+    """Write the solution (--out), the telemetry (--log) and the summary; return the exit code."""
+    if args.out:
+        write_solution(args.out, solution)
+    if args.log:
+        write_telemetry_csv(args.log, report.trace)
+    _write_summary(args.summary, summary)
+    return 0 if report.stop_reason == "converged" else 2
 
 
 def cmd_solve(args) -> int:
@@ -197,12 +203,7 @@ def cmd_solve(args) -> int:
         "transport_cost": transport_cost(problem, plan),
         "gamma": problem.gamma,
     }
-    if args.out:
-        write_matrix_csv(args.out, plan)
-    if args.log:
-        write_telemetry_csv(args.log, report.trace)
-    _write_summary(args.summary, summary)
-    return _exit_code(report.stop_reason)
+    return _finish(args, report, summary, write_matrix_csv, plan)
 
 
 def cmd_system(args) -> int:
@@ -237,12 +238,7 @@ def cmd_system(args) -> int:
         "stop_reason": report.stop_reason,
         "final_violation": report.trace[-1].violation_l1,
     }
-    if args.out:
-        write_vector_csv(args.out, report.final_iterate)
-    if args.log:
-        write_telemetry_csv(args.log, report.trace)
-    _write_summary(args.summary, summary)
-    return _exit_code(report.stop_reason)
+    return _finish(args, report, summary, write_vector_csv, report.final_iterate)
 
 
 def cmd_bench(args) -> int:

@@ -144,9 +144,10 @@ class ConstraintSystem:
         """Relative-smoothness constant of one block's summed penalty.
 
         Supports inside a block are disjoint, so the block constant is the
-        max of the per-row constants.
+        max of the per-row constants: the largest coefficient in the block.
         """
-        return max(rel_smooth_constant(self, i) for i in self.blocks[k])
+        p0, p1 = self._block_ptr[k], self._block_ptr[k + 1]
+        return float(self._data[self._indptr[p0] : self._indptr[p1]].max())
 
     def smooth_constant(self) -> float:
         """Constant for the full objective: sum of the per-block constants."""

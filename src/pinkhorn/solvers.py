@@ -303,63 +303,63 @@ def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
 def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Greedy single-constraint scaling: fix the worst row or column first.
 
-    Each iteration evaluates the KL penalty of every row and column
-    constraint, picks the largest (ties to the lowest index, rows before
-    columns), and applies the stepsize-1 update to that one constraint.
-    Marginals are maintained incrementally in O(N) per iteration and
-    refreshed from the potentials periodically to cap drift.
+    The iterate is the potentials (u, v) plus the row and column sums r, c
+    of their plan, updated in O(n + m) per iteration.  Each step picks the
+    largest of the row and column KL penalties that the last measurement
+    computed (ties to the lowest index, rows before columns) and applies
+    the stepsize-1 update to that one constraint; a column update is a row
+    update of the transposed problem.  r and c are taken from one
+    materialized plan at the start, every 500 iterations (to cap drift) and
+    whenever a sum reaches zero.
     """
     logK = gibbs_kernel(problem)
     p, q = problem.p, problem.q
-    lp, lq = np.log(p), np.log(q)
-    n, m = problem.shape
-    u = np.zeros(n)
-    v = np.zeros(m)
-    G = np.exp(logK)
-    r = G.sum(axis=1)
-    c = G.sum(axis=0)
+    n = p.size
+    u, v = np.zeros(n), np.zeros(q.size)
+    # rows, then columns as the rows of the transposed problem:
+    # (log kernel, own potential, other potential, log targets)
+    sides = ((logK, u, v, np.log(p)), (logK.T, v, u, np.log(q)))
+    sums = [None, None]  # r and c
+    worst = 0  # row-then-column index of the largest penalty at (u, v), set by measure()
     selected: list[int] = []
 
+    def plan() -> np.ndarray:
+        return np.exp(u[:, None] + logK + v[None, :])
+
+    def refresh() -> None:
+        x = plan()
+        sums[:] = x.sum(axis=1), x.sum(axis=0)
+
+    def measure() -> tuple[float, float]:
+        nonlocal worst
+        r, c = sums
+        fr, fc = kl_terms(r, p), kl_terms(c, q)
+        worst = int(np.argmax(np.concatenate((fr, fc))))
+        return float(np.sum(fr) + np.sum(fc)), float(np.abs(r - p).sum() + np.abs(c - q).sum())
+
     def step(k: int) -> bool:
-        nonlocal G, r, c
-        fr = kl_terms(r, p)
-        fc = kl_terms(c, q)
-        i = int(np.argmax(np.concatenate((fr, fc))))
-        pot, at = (u, i) if i < n else (v, i - n)
+        i = worst
+        side = int(i >= n)
+        at = i - side * n
+        K, pot, other, log_t = sides[side]
         last = pot[at]
-        if i < n:
-            lse_row = log_sum_exp(logK[i] + v)
-            u[i] = lp[i] - lse_row
-            new_row = np.exp(u[i] + logK[i] + v)
-            c = c + (new_row - G[i])
-            G[i] = new_row
-            r[i] = new_row.sum()
-        else:
-            lse_col = log_sum_exp(logK[:, at] + u)
-            v[at] = lq[at] - lse_col
-            new_col = np.exp(v[at] + logK[:, at] + u)
-            r = r + (new_col - G[:, at])
-            G[:, at] = new_col
-            c[at] = new_col.sum()
-        if k % 500 == 0 or np.any(r <= 0.0) or np.any(c <= 0.0):
-            G = np.exp(u[:, None] + logK + v[None, :])
-            r = G.sum(axis=1)
-            c = G.sum(axis=0)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(c))) or np.any(
-            r <= 0.0
-        ) or np.any(c <= 0.0):
-            # the iterate is (u, v); G, r and c are not read again
-            pot[at] = last
+        old = np.exp(last + K[at] + other)
+        pot[at] = log_t[at] - log_sum_exp(K[at] + other)
+        new = np.exp(pot[at] + K[at] + other)
+        sums[1 - side] = sums[1 - side] + (new - old)
+        sums[side][at] = new.sum()
+        if k % 500 == 0 or any(np.any(s <= 0.0) for s in sums):
+            refresh()
+        if not all(np.all(np.isfinite(s) & (s > 0.0)) for s in sums):
+            pot[at] = last  # the iterate is (u, v); r and c are not read again
             return False
         selected.append(i)
         return True
 
-    run = _iterate(cfg, callback, lambda: _ot_measure(r, c, p, q), step, lambda: G.copy())
+    refresh()
+    run = _iterate(cfg, callback, measure, step, plan)
     return SolveReport(
-        final_iterate=np.exp(u[:, None] + logK + v[None, :]),
-        **run,
-        potentials=Potentials(u, v),
-        selected=selected or None,
+        final_iterate=plan(), **run, potentials=Potentials(u, v), selected=selected or None
     )
 
 
@@ -472,7 +472,12 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
 
 
 def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
-    """Dispatch on ``cfg.method``; ``smd`` runs on the marginal constraint system."""
+    """Dispatch on ``cfg.method``; ``smd`` runs on the marginal constraint system.
+
+    When exp(-C/gamma) underflows, ``smd`` has no positive start: the run
+    ends at iteration 0 at that kernel, ``converged`` if it already meets
+    tol and ``numeric_failure`` otherwise.
+    """
     if cfg.method == "sinkhorn":
         return sinkhorn(problem, cfg, callback)
     if cfg.method == "greenkhorn":
@@ -481,11 +486,16 @@ def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
         return pinkhorn(problem, cfg, callback)
     if cfg.method == "acc_pinkhorn":
         return acc_pinkhorn(problem, cfg, callback)
+    x0 = np.exp(gibbs_kernel(problem))
+    if not np.all(x0 > 0.0):
+        # an underflowed entry is outside the entropy domain, so every step fails
+        measure = lambda: _ot_measure(x0.sum(axis=1), x0.sum(axis=0), problem.p, problem.q)
+        run = _iterate(cfg, callback, measure, lambda k: False, lambda: x0)
+        return SolveReport(final_iterate=x0, **run)
     system = as_constraint_system(problem)
-    x0 = np.exp(gibbs_kernel(problem)).reshape(-1)
     cb = None
     if callback is not None:
         cb = lambda k, vec: callback(k, vec.reshape(problem.shape))
-    report = solve_smd(system, x0, cfg, cb)
+    report = solve_smd(system, x0.reshape(-1), cfg, cb)
     report.final_iterate = report.final_iterate.reshape(problem.shape)
     return report

@@ -204,6 +204,26 @@ class TestSolveCommand:
         assert summary["stop_reason"] == "numeric_failure"
         assert np.isfinite(summary["final_violation"])
 
+    def test_underflowed_smd_exits_2(self, ot_files, capsys, tmp_path):
+        # exp(-1000) underflows, so smd has no positive start
+        cost = write(tmp_path / "far.csv", "0,1000\n1000,0\n")
+        plan_path = tmp_path / "plan.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            "--cost", cost,
+            "--p", ot_files["p"],
+            "--q", ot_files["q"],
+            "--gamma", "1",
+            "--method", "smd",
+            "--out", str(plan_path),
+        )
+        assert code == 2
+        summary = json.loads(out)
+        assert summary["stop_reason"] == "numeric_failure"
+        assert summary["iterations"] == 0
+        np.testing.assert_array_equal(read_matrix_csv(str(plan_path)), np.eye(2))
+
     def test_input_errors_exit_1(self, ot_files, capsys, tmp_path):
         # missing required flag: argparse errors are remapped to exit 1
         code, _, err = run_cli(

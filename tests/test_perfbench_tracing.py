@@ -56,3 +56,25 @@ def test_tracer_installs_records_and_uninstalls():
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_greenkhorn_measures_penalties_once_per_iteration():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(pinkhorn)
+    tracer.install()
+    try:
+        rng = np.random.default_rng(5)
+        x, y = rng.random((6, 2)), rng.random((7, 2))
+        cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+        problem = pinkhorn.OTProblem(cost=cost, gamma=0.1, p=np.full(6, 1 / 6), q=np.full(7, 1 / 7))
+        cfg = pinkhorn.SolverConfig(method="greenkhorn", tol=1e-9)
+        report = tracer.run_job("greenkhorn", lambda: pinkhorn.solve(problem, cfg))
+    finally:
+        tracer.uninstall()
+    assert report.stop_reason == "converged"
+    k = report.iterations
+    totals = tracer.layer_totals()
+    assert tracer.iterations["solvers.greenkhorn"] == k
+    assert totals["kernel.log_sum_exp"]["calls"] == k
+    # one row and one column penalty vector per measurement, none for the selection
+    assert totals["kernel.kl_terms"]["calls"] + totals["otx.kl_terms"]["calls"] == 2 * (k + 1)

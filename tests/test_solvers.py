@@ -329,6 +329,12 @@ class TestGreenkhorn:
         np.testing.assert_array_equal(report.potentials.u, 0.0)
         np.testing.assert_array_equal(report.final_iterate, plans[-1])
 
+    def test_first_selection_is_worst_column(self):
+        prob = OTProblem(cost=np.zeros((2, 2)), gamma=1.0, p=[0.5, 0.5], q=[0.75, 0.25])
+        report = greenkhorn(prob, SolverConfig(max_iter=1, tol=1e-16))
+        assert report.selected[0] == 3
+        assert report.final_iterate.sum(axis=0)[1] == pytest.approx(0.25, rel=1e-12)
+
 
 class TestPinkhorn:
     def test_first_step_outer_update(self):
@@ -433,6 +439,23 @@ class TestDispatchAndTrace:
         expected = list(range(0, 1001)) + list(range(1010, 1491, 10)) + [1495]
         assert iters == expected
 
+    @pytest.mark.parametrize(
+        "diagonal, reason", [(0.0, "numeric_failure"), (np.log(2.0), "converged")]
+    )
+    def test_smd_on_underflowed_kernel_stops_at_start(self, diagonal, reason):
+        # the off-diagonal entries of exp(-C/gamma) underflow to zero
+        cost = np.array([[diagonal, 1000.0], [1000.0, diagonal]])
+        prob = OTProblem(cost=cost, gamma=1.0, p=[0.5, 0.5], q=[0.5, 0.5])
+        plans = []
+        report = solve(prob, SolverConfig(method="smd"), callback=lambda k, x: plans.append(x))
+        kernel = np.exp(-cost)
+        assert report.stop_reason == reason
+        assert report.iterations == 0
+        assert len(report.trace) == 1
+        assert report.trace[0].violation_l1 == marginal_violation(prob, kernel)
+        np.testing.assert_array_equal(report.final_iterate, kernel)
+        np.testing.assert_array_equal(plans[-1], kernel)
+
     @pytest.mark.parametrize("fail_at", [1005, 1011])
     def test_failed_step_keeps_last_trace_entry(self, fail_at):
         # iteration 1004 falls between the every-tenth entries kept past 1000
@@ -514,6 +537,12 @@ class TestNonContiguousBlocks:
                 np.testing.assert_allclose(
                     smd_step(system, x, block, 0.7), _dense_block_step(x, block, 0.7), rtol=1e-12
                 )
+
+    def test_smooth_constants_match_dense_reference(self, build):
+        system = build()
+        per_block = [NONCONTIG_A[blk].max() for blk in NONCONTIG_BLOCKS]
+        assert [system.block_smooth_constant(k) for k in range(3)] == per_block
+        assert system.smooth_constant() == sum(per_block)
 
     @pytest.mark.parametrize("sampling", ["cyclic", "uniform", "greedy"])
     def test_solve_smd_matches_dense_reference(self, build, sampling):
