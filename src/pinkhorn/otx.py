@@ -170,22 +170,32 @@ def as_constraint_system(problem: OTProblem) -> ConstraintSystem:
 
 
 def round_to_feasible(problem: OTProblem, plan) -> np.ndarray:
-    """Round a positive plan onto the marginal polytope.
+    """Round a finite nonnegative plan onto the marginal polytope.
 
     Rows are scaled down to at most p, columns to at most q, and the missing
     mass is restored by a rank-one correction, so the output has exact
-    marginals and stays nonnegative.  The l1 size of the adjustment is on
+    marginals and stays nonnegative; a row or column that sums to zero gets
+    all its mass from the correction.  The l1 size of the adjustment is on
     the order of the input's marginal violation.
     """
-    plan = as_positive_matrix(plan)
+    plan = np.atleast_2d(np.asarray(plan, dtype=np.float64))
     if plan.shape != problem.shape:
         raise ValueError(f"plan shape {plan.shape} does not match cost {problem.shape}")
+    if not np.all(np.isfinite(plan)):
+        raise ValueError("plan entries must be finite")
+    if np.any(plan < 0.0):
+        raise ValueError("plan entries must be nonnegative")
     p, q = problem.p, problem.q
-    x = plan * np.minimum(1.0, p / plan.sum(axis=1))[:, None]
-    x = x * np.minimum(1.0, q / x.sum(axis=0))[None, :]
+    x = plan * _shrink(p, plan.sum(axis=1))[:, None]
+    x = x * _shrink(q, x.sum(axis=0))[None, :]
     err_p = np.maximum(p - x.sum(axis=1), 0.0)
     err_q = np.maximum(q - x.sum(axis=0), 0.0)
     total = err_p.sum()
     if total > 0.0:
         x = x + np.outer(err_p, err_q) / total
     return x
+
+
+def _shrink(target: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """min(1, target / sums), and 1 where a sum is 0 (that row or column is all 0)."""
+    return np.divide(target, sums, out=np.ones_like(target), where=sums > target)

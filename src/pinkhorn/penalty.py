@@ -114,30 +114,60 @@ class ConstraintSystem:
         span = slice(self._indptr[p], self._indptr[p + 1])
         return self._indices[span], self._data[span]
 
-    def dots(self, x: np.ndarray) -> np.ndarray:
-        """All inner products ``<a_i, x>`` in one vectorized pass."""
-        return np.add.reduceat(self._data * x[self._indices], self._indptr[:-1])[self._pos]
+    def _workspace(self) -> np.ndarray:
+        """Scratch floats for ``dots`` and ``block_update``: twice the nonzeros."""
+        return np.empty(2 * self._data.size)
+
+    def dots(self, x: np.ndarray, _work: np.ndarray | None = None) -> np.ndarray:
+        """All inner products ``<a_i, x>`` in one vectorized pass.
+
+        ``_work`` is internal: a ``_workspace()`` buffer the products are
+        formed in, so that a solver's repeated calls allocate nothing of the
+        size of the coefficients.
+        """
+        prod = np.take(x, self._indices, out=None if _work is None else _work[: self._data.size])
+        np.multiply(prod, self._data, out=prod)
+        return np.add.reduceat(prod, self._indptr[:-1])[self._pos]
 
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """Sum of a per-row vector ``v`` over each block."""
         return np.bincount(self._block_of, weights=v, minlength=self.n_blocks)
 
-    def block_update(self, x: np.ndarray, s: np.ndarray, block: int, eta: float) -> np.ndarray:
+    def block_update(
+        self,
+        x: np.ndarray,
+        s: np.ndarray,
+        block: int,
+        eta: float,
+        _out: np.ndarray | None = None,
+        _work: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Multiplicative block update z_j = x_j * prod_i (b_i/s_i)^(eta a_ij).
 
         ``s`` holds the inner products at x; gradients of every row in the
         block are taken at the same x, and disjoint supports keep the row
-        factors independent.
+        factors independent.  ``_out`` (the result, not ``x`` itself) and
+        ``_work`` (a ``_workspace()`` buffer) are internal: with both given,
+        the one array the update allocates is the row factors repeated over
+        the block's entries.
         """
         p0, p1 = self._block_ptr[block], self._block_ptr[block + 1]
         lo, hi = self._indptr[p0], self._indptr[p1]
         rows = self._row[p0:p1]
         row_fac = np.log(self.b[rows]) - np.log(s[rows])
-        log_fac = eta * self._data[lo:hi] * np.repeat(row_fac, np.diff(self._indptr[p0 : p1 + 1]))
+        if _work is None:
+            _work = np.empty(2 * (hi - lo))
+        log_fac, gathered = _work[: hi - lo], _work[hi - lo : 2 * (hi - lo)]
+        np.multiply(self._data[lo:hi], eta, out=log_fac)
+        np.multiply(log_fac, np.repeat(row_fac, np.diff(self._indptr[p0 : p1 + 1])), out=log_fac)
         idx = self._indices[lo:hi]
-        z = x.copy()
+        z = np.empty_like(x) if _out is None else _out
+        np.copyto(z, x)
+        np.take(z, idx, out=gathered)
         with np.errstate(over="ignore", under="ignore"):
-            z[idx] = z[idx] * np.exp(log_fac)
+            np.exp(log_fac, out=log_fac)
+            np.multiply(gathered, log_fac, out=gathered)
+        z[idx] = gathered
         return z
 
     def block_smooth_constant(self, k: int) -> float:

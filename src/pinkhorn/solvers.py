@@ -6,9 +6,8 @@ Five methods share one telemetry and stopping contract:
   constraint system, one block per iteration (cyclic, uniform or greedy
   block choice).  With stepsize 1 and 0/1 rows each step is exactly the KL
   projection onto its block.
-* ``sinkhorn``: alternating row/column scaling in potential (u, v) form,
-  all marginals through log-sum-exp, equivalent to ``solve_smd`` with
-  cyclic sampling and stepsize 1 on the marginal constraint system.
+* ``sinkhorn``: alternating row/column scaling, equivalent to ``solve_smd``
+  with cyclic sampling and stepsize 1 on the marginal constraint system.
 * ``greenkhorn``: same scaling updates, but each iteration picks the single
   row or column constraint with the largest KL penalty.
 * ``pinkhorn``: full-gradient mirror descent on the sum of row and column
@@ -20,9 +19,13 @@ The contract lives in one driver, ``_iterate``: it alone builds the trace,
 applies the stopping rule and the trace cadence, calls the callback, and
 ends a run ``numeric_failure`` at the last valid iterate when a step would
 leave the domain.  Each method supplies only its step and its
-(objective, violation) measurement; ``sinkhorn`` and ``pinkhorn`` also share
-one log-domain potentials state.  Stopping is always on the l1 constraint
-violation; the objective is logged but never used to stop.
+(objective, violation) measurement.  ``sinkhorn``, ``greenkhorn`` and
+``pinkhorn`` also share one scaling state, ``_Scaling``: each of their steps
+multiplies scalings by (target / marginal)^eta, a matrix-vector product on a
+stabilized kernel whose scalings are absorbed into log-domain potentials
+when they grow, with log-sum-exp kept for kernels that underflow.  Stopping
+is always on the l1 constraint violation; the objective is logged but never
+used to stop.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
 from .otx import (
-    _EXP_OVERFLOW,
     OTProblem,
     Potentials,
     _objective_from_marginals,
@@ -64,6 +66,10 @@ SAMPLINGS = ("cyclic", "uniform", "greedy")
 
 # trace keeps every iteration up to this point, then every tenth and the last
 _DENSE_TRACE_LIMIT = 1000
+# scalings beyond this factor either way are absorbed into the potentials;
+# between absorptions K~ is the plan divided by at most its square, so the
+# entries of K~ that carry mass stay normal doubles
+_SCALING_RANGE = 1e20
 
 
 @dataclass(frozen=True)
@@ -198,12 +204,15 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
     overflow or domain breach the last valid iterate is returned with stop
     reason ``numeric_failure``.
     """
-    x = as_positive_vector(x0)
+    x = as_positive_vector(x0).copy()  # the iterate is updated in place, never the caller's x0
     if x.size != system.dimension:
         raise ValueError(f"x0 has length {x.size}, expected {system.dimension}")
     eta = 1.0 if cfg.eta is None else float(cfg.eta)
     rng = np.random.default_rng(cfg.seed)
-    s = system.dots(x)
+    # one scratch buffer and a second iterate for the whole run: a step
+    # writes its candidate into z and the two swap when it is accepted
+    work, z = system._workspace(), np.empty_like(x)
+    s = system.dots(x, work)
     if np.any(s <= 0.0):
         raise ValueError("x0 gives a nonpositive inner product for some constraint")
     per = None  # per-row penalties at x, set by measure()
@@ -215,182 +224,197 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         return float(per.sum()), float(np.abs(s - system.b).sum())
 
     def step(k: int) -> bool:
-        nonlocal x, s
+        nonlocal x, z, s
         if cfg.sampling == "cyclic":
             block = (k - 1) % system.n_blocks
         elif cfg.sampling == "uniform":
             block = int(rng.integers(system.n_blocks))
         else:
             block = int(np.argmax(system.block_sums(per)))
-        z = system.block_update(x, s, block, eta)
+        system.block_update(x, s, block, eta, z, work)
         if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
             return False
-        s_new = system.dots(z)
+        s_new = system.dots(z, work)
         if np.any(s_new <= 0.0):
             return False
-        x, s = z, s_new
+        x, z, s = z, x, s_new
         selected.append(block)
         return True
 
-    run = _iterate(cfg, callback, measure, step, lambda: x)
+    run = _iterate(cfg, callback, measure, step, lambda: x.copy())
     return SolveReport(final_iterate=x, **run, selected=selected or None)
 
 
-def _ot_measure(r, c, p, q) -> tuple[float, float]:
-    """(objective, l1 violation) of a plan with row sums r and column sums c."""
-    return _objective_from_marginals(r, c, p, q), float(np.abs(r - p).sum() + np.abs(c - q).sum())
+class _Scaling:
+    """The plan diag(a) K~ diag(b) of an OT problem, K~ = exp(u + logK + v).
 
+    One state for sinkhorn, greenkhorn and pinkhorn.  The plan's potentials
+    are (u + log a, v + log b): (u, v) are absorbed into K~, and the
+    scalings (a, b) carry what changed since, so a step is a matrix-vector
+    product on K~ and no exp.  Per-constraint vectors are stacked, rows
+    then columns: ``w`` = (u, v), ``ab`` = (a, b), ``kab`` = (K~ b, K~^T a),
+    the marginals ``rc`` = ab * kab and the targets ``pq`` = (p, q).
 
-class _LogScaling:
-    """Potentials (u, v) of an OT problem with their log-sum-exps cached.
-
-    ``lse_rows`` is the row LSE of logK + v and ``lse_cols`` the column LSE
-    of logK + u, so the log-marginals are u + lse_rows and v + lse_cols.
-    ``set_u`` recomputes only ``lse_cols`` and ``set_v`` only ``lse_rows``.
+    A step that takes a scaling out of [1/_SCALING_RANGE, _SCALING_RANGE]
+    absorbs the scalings into (u, v) and rebuilds K~.  A step that meets a
+    row or column of K~ summing to 0 (an underflowed kernel) is taken in log
+    domain through log-sum-exp, then absorbed.
     """
 
     def __init__(self, problem: OTProblem):
         self.logK = gibbs_kernel(problem)
-        self.p, self.q = problem.p, problem.q
-        self.log_p, self.log_q = np.log(self.p), np.log(self.q)
-        self.u = np.zeros(problem.shape[0])
-        self.v = np.zeros(problem.shape[1])
-        self.lse_rows = log_sum_exp(self.logK + self.v[None, :], axis=1)
-        self.lse_cols = log_sum_exp(self.logK + self.u[:, None], axis=0)
+        self.n = problem.shape[0]
+        self.pq = np.concatenate((problem.p, problem.q))
+        self.rc = None
+        self._absorb(np.zeros(self.pq.size))
 
-    def set_u(self, u: np.ndarray) -> None:
-        self.u = u
-        self.lse_cols = log_sum_exp(self.logK + u[:, None], axis=0)
+    def _commit(self, w, K, ab, kab) -> bool:
+        """Make this the state unless the plan's marginals overflow."""
+        rc = ab * kab
+        # iteration 0 is exp(-C/gamma) as given, even when it overflows
+        if self.rc is not None and not rc.max() < np.inf:
+            return False
+        self.w, self.K, self.ab, self.kab, self.rc = w, K, ab, kab, rc
+        return True
 
-    def set_v(self, v: np.ndarray) -> None:
-        self.v = v
-        self.lse_rows = log_sum_exp(self.logK + v[None, :], axis=1)
+    def _absorb(self, w) -> bool:
+        """Make ``w`` the potentials and 1 the scalings: K~ is rebuilt."""
+        if not np.isfinite(w).all():
+            return False
+        n = self.n
+        with np.errstate(over="ignore"):
+            K = np.exp(w[:n, None] + self.logK + w[None, n:])
+        return self._commit(w, K, np.ones(w.size), np.concatenate((K.sum(axis=1), K.sum(axis=0))))
+
+    def refresh(self) -> None:
+        """Recompute K~ b and K~^T a from K~, dropping incremental drift."""
+        n = self.n
+        self._commit(self.w, self.K, self.ab, np.concatenate((self.K @ self.ab[n:], self.K.T @ self.ab[:n])))
+
+    def scale(self, at, eta: float = 1.0) -> bool:
+        """Multiply the scalings at ``at`` by (target / marginal)^eta.
+
+        ``at`` is a slice of the stacked (a, b), or one index for
+        greenkhorn, whose other side then moves by one row or column of K~
+        in O(n + m).  eta 1 makes the marginals at ``at`` exact.  Returns
+        False, with the state unchanged, when the plan would leave the
+        domain.
+        """
+        n = self.n
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if eta == 1.0:
+                new = self.pq[at] / self.kab[at]
+            else:
+                new = self.ab[at] * (self.pq[at] / self.rc[at]) ** eta
+            if not (1.0 / _SCALING_RANGE <= new.min() and new.max() <= _SCALING_RANGE):
+                if 0.0 < new.min() and new.max() < np.inf:
+                    ab = self.ab.copy()
+                    ab[at] = new
+                    return self._absorb(self.w + np.log(ab))
+                return self._log_step(at, eta)
+            ab, kab = self.ab.copy(), self.kab.copy()
+            ab[at] = new
+            if isinstance(at, slice):
+                if at.start < n:
+                    np.matmul(self.K.T, ab[:n], out=kab[n:])
+                if at.stop > n:
+                    np.matmul(self.K, ab[n:], out=kab[:n])
+            elif at < n:
+                kab[n:] += (new - self.ab[at]) * self.K[at]
+            else:
+                kab[:n] += (new - self.ab[at]) * self.K[:, at - n]
+            return self._commit(self.w, self.K, ab, kab)
+
+    def _log_step(self, at, eta: float) -> bool:
+        """``scale`` in log domain: the same step on the full potentials."""
+        n = self.n
+        w = self.w + np.log(self.ab)
+        lse = (log_sum_exp(self.logK + w[None, n:], axis=1), log_sum_exp(self.logK + w[:n, None], axis=0))
+        log_rc = w + np.concatenate(lse)
+        w[at] += eta * (np.log(self.pq[at]) - log_rc[at])
+        return self._absorb(w)
 
     def measure(self) -> tuple[float, float]:
-        r = np.exp(self.u + self.lse_rows)
-        c = np.exp(self.v + self.lse_cols)
-        return _ot_measure(r, c, self.p, self.q)
+        """(objective, l1 violation) of the plan; keeps the per-constraint penalties.
+
+        Both are summed per side, rows then columns, as ``ot_objective`` and
+        ``marginal_violation`` sum them.
+        """
+        n = self.n
+        self.penalties = per = kl_terms(self.rc, self.pq)
+        gap = np.abs(self.rc - self.pq)
+        return float(per[:n].sum() + per[n:].sum()), float(gap[:n].sum() + gap[n:].sum())
+
+    def potentials(self) -> Potentials:
+        w = self.w + np.log(self.ab)
+        return Potentials(w[: self.n], w[self.n :])
 
     def plan(self) -> np.ndarray:
-        return np.exp(self.u[:, None] + self.logK + self.v[None, :])
+        """The dense plan, from the potentials as ``plan_from_potentials`` builds it."""
+        pot = self.potentials()
+        return np.exp(pot.u[:, None] + self.logK + pot.v[None, :])
 
-    def report(self, run: dict) -> SolveReport:
-        return SolveReport(final_iterate=self.plan(), **run, potentials=Potentials(self.u, self.v))
+    def report(self, run: dict, selected: list[int] | None = None) -> SolveReport:
+        return SolveReport(
+            final_iterate=self.plan(), **run, potentials=self.potentials(), selected=selected or None
+        )
 
 
 def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
-    """Log-domain matrix scaling in potential (u, v) form.
+    """Matrix scaling: a = p / (K~ b) and b = q / (K~^T a) in turn.
 
-    Odd-numbered iterations rescale rows (u update), even-numbered ones
-    rescale columns, so each iteration matches one block of the cyclic
-    mirror-descent view.  Only the two potential vectors are kept; row and
-    column sums go through log-sum-exp, one per iteration since each update
-    reuses the LSE the previous one left, and the dense plan is materialized
-    once at the end (and for callbacks).
+    Odd-numbered iterations rescale rows, even-numbered ones columns, so
+    each iteration matches one block of the cyclic mirror-descent view.
+    Each costs one matrix-vector product on the stabilized kernel of
+    ``_Scaling``; the potentials (u + log a, v + log b) are reported, and
+    the dense plan is materialized from them once at the end (and for
+    callbacks).
     """
-    st = _LogScaling(problem)
-
-    def step(k: int) -> bool:
-        if k % 2:
-            st.set_u(st.log_p - st.lse_rows)
-        else:
-            st.set_v(st.log_q - st.lse_cols)
-        return True
-
-    return st.report(_iterate(cfg, callback, st.measure, step, st.plan))
+    st = _Scaling(problem)
+    rows, cols = slice(0, st.n), slice(st.n, st.pq.size)
+    run = _iterate(cfg, callback, st.measure, lambda k: st.scale(rows if k % 2 else cols), st.plan)
+    return st.report(run)
 
 
 def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Greedy single-constraint scaling: fix the worst row or column first.
 
-    The iterate is the potentials (u, v) plus the row and column sums r, c
-    of their plan, updated in O(n + m) per iteration.  Each step picks the
-    largest of the row and column KL penalties that the last measurement
-    computed (ties to the lowest index, rows before columns) and applies
-    the stepsize-1 update to that one constraint; a column update is a row
-    update of the transposed problem.  r and c are taken from one
-    materialized plan at the start, every 500 iterations (to cap drift) and
-    whenever a sum reaches zero.
+    Each step picks the largest of the row and column KL penalties that the
+    last measurement computed (ties to the lowest index, rows before
+    columns) and makes that one marginal exact: one entry of a (or b)
+    changes, and K~^T a (or K~ b) moves by one row (column) of K~, in
+    O(n + m) with no exp.  Both products are recomputed from K~ every 500
+    iterations, to cap drift, and whenever one turns negative.
     """
-    logK = gibbs_kernel(problem)
-    p, q = problem.p, problem.q
-    n = p.size
-    u, v = np.zeros(n), np.zeros(q.size)
-    # rows, then columns as the rows of the transposed problem:
-    # (log kernel, own potential, other potential, log targets)
-    sides = ((logK, u, v, np.log(p)), (logK.T, v, u, np.log(q)))
-    sums = [None, None]  # r and c
-    worst = 0  # row-then-column index of the largest penalty at (u, v), set by measure()
+    st = _Scaling(problem)
     selected: list[int] = []
 
-    def plan() -> np.ndarray:
-        return np.exp(u[:, None] + logK + v[None, :])
-
-    def refresh() -> None:
-        x = plan()
-        sums[:] = x.sum(axis=1), x.sum(axis=0)
-
-    def measure() -> tuple[float, float]:
-        nonlocal worst
-        r, c = sums
-        fr, fc = kl_terms(r, p), kl_terms(c, q)
-        worst = int(np.argmax(np.concatenate((fr, fc))))
-        return float(np.sum(fr) + np.sum(fc)), float(np.abs(r - p).sum() + np.abs(c - q).sum())
-
     def step(k: int) -> bool:
-        i = worst
-        side = int(i >= n)
-        at = i - side * n
-        K, pot, other, log_t = sides[side]
-        last = pot[at]
-        old = np.exp(last + K[at] + other)
-        pot[at] = log_t[at] - log_sum_exp(K[at] + other)
-        new = np.exp(pot[at] + K[at] + other)
-        sums[1 - side] = sums[1 - side] + (new - old)
-        sums[side][at] = new.sum()
-        if k % 500 == 0 or any(np.any(s <= 0.0) for s in sums):
-            refresh()
-        if not all(np.all(np.isfinite(s) & (s > 0.0)) for s in sums):
-            pot[at] = last  # the iterate is (u, v); r and c are not read again
+        i = int(np.argmax(st.penalties))
+        if not st.scale(i):
             return False
+        if k % 500 == 0 or st.kab.min() < 0.0:
+            st.refresh()
         selected.append(i)
         return True
 
-    refresh()
-    run = _iterate(cfg, callback, measure, step, plan)
-    return SolveReport(
-        final_iterate=plan(), **run, potentials=Potentials(u, v), selected=selected or None
-    )
+    return st.report(_iterate(cfg, callback, st.measure, step, st.plan), selected)
 
 
 def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Full-gradient mirror descent on the row-plus-column penalty objective.
 
-    The multiplicative update X <- X * (p/r)^eta outer (q/c)^eta acts on the
-    potentials, so like sinkhorn this runs entirely in log domain.  The
-    default eta of 1/2 makes the objective non-increasing (the penalty is
-    2-relatively smooth: one unit per constraint block).  A step whose
-    potentials or marginals are not finite ends the run ``numeric_failure``.
+    The multiplicative update X <- X * (p/r)^eta outer (q/c)^eta is
+    a <- a (p/r)^eta and b <- b (q/c)^eta on the scalings of ``_Scaling``,
+    two matrix-vector products per step.  The default eta of 1/2 makes the
+    objective non-increasing (the penalty is 2-relatively smooth: one unit
+    per constraint block).  A step whose marginals overflow ends the run
+    ``numeric_failure``.
     """
-    st = _LogScaling(problem)
+    st = _Scaling(problem)
     eta = 0.5 if cfg.eta is None else float(cfg.eta)
-
-    def step(k: int) -> bool:
-        with np.errstate(over="ignore"):
-            u = st.u + eta * (st.log_p - (st.u + st.lse_rows))
-            v = st.v + eta * (st.log_q - (st.v + st.lse_cols))
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            return False
-        last = st.u, st.v, st.lse_rows, st.lse_cols
-        st.set_u(u)
-        st.set_v(v)
-        # exp of a log-marginal is finite exactly up to _EXP_OVERFLOW
-        if (u + st.lse_rows).max() <= _EXP_OVERFLOW and (v + st.lse_cols).max() <= _EXP_OVERFLOW:
-            return True
-        st.u, st.v, st.lse_rows, st.lse_cols = last
-        return False
-
-    return st.report(_iterate(cfg, callback, st.measure, step, st.plan))
+    both = slice(0, st.pq.size)
+    return st.report(_iterate(cfg, callback, st.measure, lambda k: st.scale(both, eta), st.plan))
 
 
 def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
@@ -489,8 +513,7 @@ def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     x0 = np.exp(gibbs_kernel(problem))
     if not np.all(x0 > 0.0):
         # an underflowed entry is outside the entropy domain, so every step fails
-        measure = lambda: _ot_measure(x0.sum(axis=1), x0.sum(axis=0), problem.p, problem.q)
-        run = _iterate(cfg, callback, measure, lambda k: False, lambda: x0)
+        run = _iterate(cfg, callback, _Scaling(problem).measure, lambda k: False, lambda: x0)
         return SolveReport(final_iterate=x0, **run)
     system = as_constraint_system(problem)
     cb = None

@@ -166,6 +166,25 @@ class TestSolveCommand:
         np.testing.assert_allclose(plan.sum(axis=1), [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(plan.sum(axis=0), [0.5, 0.5], atol=1e-12)
 
+    def test_round_flag_on_plan_with_zero_entries(self, ot_files, capsys, tmp_path):
+        # exp(-1000) underflows, so the converged plan has zero entries
+        cost = write(tmp_path / "far.csv", "0,1000\n1000,0\n")
+        plan_path = tmp_path / "plan.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "solve",
+            "--cost", cost,
+            "--p", ot_files["p"],
+            "--q", ot_files["q"],
+            "--gamma", "1",
+            "--round",
+            "--out", str(plan_path),
+        )
+        assert code == 0
+        plan = read_matrix_csv(str(plan_path))
+        np.testing.assert_array_equal(plan.sum(axis=1), [0.5, 0.5])
+        np.testing.assert_array_equal(plan.sum(axis=0), [0.5, 0.5])
+
     def test_non_convergence_exits_2(self, ot_files, capsys, tmp_path):
         p_skew = write(tmp_path / "p2.csv", "0.75\n0.25\n")
         code, out, _ = run_cli(

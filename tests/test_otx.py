@@ -200,6 +200,18 @@ class TestRounding:
                 assert np.all(out >= 0.0)
                 assert marginal_violation(prob, out) <= 1e-12
 
+    def test_zero_rows_and_columns_get_mass_from_correction(self):
+        prob = toy_problem()
+        for plan in (np.zeros((2, 2)), [[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.2], [0.0, 0.3]]):
+            out = round_to_feasible(prob, plan)
+            assert np.all(out >= 0.0)
+            assert marginal_violation(prob, out) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_negative_or_nonfinite_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            round_to_feasible(toy_problem(), [[0.5, bad], [0.1, 0.4]])
+
     def test_cost_shift_bounded_by_violation(self):
         rng = np.random.default_rng(34)
         prob = random_problem(rng, 4)
