@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
+from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +27,9 @@ from .solvers import METHODS, SAMPLINGS, SolverConfig, solve, solve_smd
 __all__ = ["CliInputError", "main", "app"]
 
 _TRIPLET_HEADER = ("row", "col", "value")
+_TRIPLET_DTYPE = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
+_FLOAT = "%.17g"  # 17 significant digits re-read to the same double
+_TELEMETRY_LINE = ",".join(["%s"] + [_FLOAT] * 3) + "\n"
 
 
 class CliInputError(Exception):
@@ -36,38 +42,46 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _data_lines(path: str):
-    """Yield (line_number, stripped_text) for non-empty lines of a text file."""
+@contextmanager
+def _reading(path: str):
+    """An open text file; an OSError while opening or reading it is an input error."""
     try:
         with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                text = raw.strip()
-                if text:
-                    yield lineno, text
+            yield handle
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Dense headerless CSV, one matrix row per line."""
-    rows = []
-    width = None
-    for lineno, text in _data_lines(path):
-        cells = [cell.strip() for cell in text.split(",")]
+def _float_error(line: str) -> ValueError:
+    """float()'s error on the first bad cell of ``line``, named as the stripped cell."""
+    for cell in line.split(","):
         try:
-            row = [float(cell) for cell in cells]
+            float(cell.strip())
         except ValueError as exc:
-            raise CliInputError(f"{path}:{lineno}: not a number: {exc}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise CliInputError(
-                f"{path}:{lineno}: expected {width} columns, found {len(row)}"
-            )
-        rows.append(row)
-    if not rows:
+            return exc
+
+
+def read_matrix_csv(path: str) -> np.ndarray:
+    """Dense headerless CSV, one matrix row per line; blank lines are skipped."""
+    values = array("d")
+    width = None
+    with _reading(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            start = len(values)
+            try:
+                values.extend(map(float, line.split(",")))
+            except ValueError as exc:
+                raise CliInputError(f"{path}:{lineno}: not a number: {_float_error(line)}") from exc
+            found = len(values) - start
+            if width is None:
+                width = found
+            elif found != width:
+                raise CliInputError(f"{path}:{lineno}: expected {width} columns, found {found}")
+    if width is None:
         raise CliInputError(f"{path}: no data rows")
-    return np.array(rows)
+    return np.array(values).reshape(-1, width)
 
 
 def read_vector_csv(path: str) -> np.ndarray:
@@ -75,58 +89,77 @@ def read_vector_csv(path: str) -> np.ndarray:
     return read_matrix_csv(path).reshape(-1)
 
 
+def _triplet_error(path: str, exc: ValueError) -> CliInputError:
+    """Name the first entry line that does not read as an int, an int and a float.
+
+    Called only after the bulk parse of a triplet file has failed.
+    """
+    with _reading(path) as handle:
+        lines = ((n, line) for n, line in enumerate(handle, start=1) if not line.isspace())
+        next(lines)  # the header
+        for lineno, line in lines:
+            cells = [cell.strip() for cell in line.split(",")]
+            if len(cells) != 3:
+                return CliInputError(f"{path}:{lineno}: expected row,col,value")
+            try:
+                int(cells[0]), int(cells[1]), float(cells[2])
+            except ValueError as cell_exc:
+                return CliInputError(f"{path}:{lineno}: bad triplet: {cell_exc}")
+    return CliInputError(f"{path}: bad triplet: {exc}")
+
+
 def read_system_csv(path: str):
     """Dense or triplet constraint matrix; triplet files start with row,col,value.
 
-    Returns ``("dense", matrix)`` or ``("triplets", list, n_rows, n_cols)``.
+    Returns ``("dense", matrix)`` or ``("triplets", (rows, cols, values),
+    n_rows, n_cols)``, where ``rows`` and ``cols`` are integer arrays.
     """
-    lines = list(_data_lines(path))
-    if not lines:
-        raise CliInputError(f"{path}: no data rows")
-    first = tuple(cell.strip().lower() for cell in lines[0][1].split(","))
-    if first != _TRIPLET_HEADER:
-        return ("dense", read_matrix_csv(path))
-    triplets = []
-    for lineno, text in lines[1:]:
-        cells = [cell.strip() for cell in text.split(",")]
-        if len(cells) != 3:
-            raise CliInputError(f"{path}:{lineno}: expected row,col,value")
-        try:
-            triplets.append((int(cells[0]), int(cells[1]), float(cells[2])))
-        except ValueError as exc:
-            raise CliInputError(f"{path}:{lineno}: bad triplet: {exc}") from exc
+    with _reading(path) as handle:
+        lines = (line for line in handle if not line.isspace())
+        header = next(lines, None)
+        if header is None:
+            raise CliInputError(f"{path}: no data rows")
+        triplets = tuple(cell.strip().lower() for cell in header.split(",")) == _TRIPLET_HEADER
+        if triplets:
+            first = next(lines, None)
+            if first is None:
+                raise CliInputError(f"{path}: triplet file has a header but no entries")
+            try:
+                table = np.loadtxt(
+                    chain((first,), lines),
+                    dtype=_TRIPLET_DTYPE,
+                    delimiter=",",
+                    comments=None,
+                    ndmin=1,
+                )
+            except ValueError as exc:
+                raise _triplet_error(path, exc) from exc
     if not triplets:
-        raise CliInputError(f"{path}: triplet file has a header but no entries")
-    n_rows = max(t[0] for t in triplets) + 1
-    n_cols = max(t[1] for t in triplets) + 1
-    return ("triplets", triplets, n_rows, n_cols)
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+        return ("dense", read_matrix_csv(path))
+    rows, cols = table["row"], table["col"]
+    return ("triplets", (rows, cols, table["value"]), int(rows.max()) + 1, int(cols.max()) + 1)
 
 
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix))
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    line = ",".join([_FLOAT] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         for row in matrix:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(line % tuple(row.tolist()))
 
 
 def write_vector_csv(path: str, vector: np.ndarray) -> None:
+    vector = np.asarray(vector, dtype=np.float64).reshape(-1)
     with open(path, "w", encoding="utf-8") as handle:
-        for v in np.asarray(vector).reshape(-1):
-            handle.write(_fmt(v) + "\n")
+        handle.write(((_FLOAT + "\n") * vector.size) % tuple(vector.tolist()))
 
 
 def write_telemetry_csv(path: str, trace) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("iter,objective,violation_l1,time_ms\n")
-        for entry in trace:
-            handle.write(
-                f"{entry.iteration},{_fmt(entry.objective)},"
-                f"{_fmt(entry.violation_l1)},{_fmt(entry.time_ms)}\n"
-            )
+        handle.writelines(
+            _TELEMETRY_LINE % (e.iteration, e.objective, e.violation_l1, e.time_ms) for e in trace
+        )
 
 
 def _write_summary(path: str | None, summary: dict) -> None:
@@ -214,12 +247,10 @@ def cmd_system(args) -> int:
         if parsed[0] == "dense":
             system = ConstraintSystem.from_dense(parsed[1], b, blocks=blocks)
         else:
-            _, triplets, n_rows, n_cols = parsed
+            _, (rows, cols, values), n_rows, n_cols = parsed
             if b.size != n_rows:
                 raise ValueError(f"b has {b.size} entries for {n_rows} triplet rows")
-            system = ConstraintSystem.from_triplets(
-                triplets, b, dimension=n_cols, blocks=blocks
-            )
+            system = ConstraintSystem._from_entries(rows, cols, values, b, n_cols, blocks)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     if args.x0:
@@ -261,7 +292,7 @@ def cmd_bench(args) -> int:
             last = report.trace[-1]
             lines.append(
                 f"{instance},{method},{report.iterations},"
-                f"{_fmt(last.violation_l1)},{_fmt(last.time_ms)}"
+                + (_FLOAT + "," + _FLOAT) % (last.violation_l1, last.time_ms)
             )
     text = "\n".join(lines) + "\n"
     if args.out:

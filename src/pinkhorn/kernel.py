@@ -73,8 +73,9 @@ def kl_terms(x, y) -> np.ndarray:
     t = ratio - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         h = ratio * np.log1p(t) - t
-    # x/y can underflow to zero for extreme scale gaps; the limit value is y
-    h = np.where(ratio == 0.0, -t, h)
+    # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may even
+    # underflow to zero); there the term is y (1 - r + r log r) = y to an ulp
+    h = np.where(t == -1.0, -t, h)
     # each term is mathematically >= 0; shave off negative roundoff
     return y * np.maximum(h, 0.0)
 

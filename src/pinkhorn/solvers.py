@@ -447,6 +447,8 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         """Backtracked accelerated step; returns (x_new, z_new, L, f_new) or None."""
         y = (1.0 - th) * xc + th * zc
         ry, cy = y.sum(axis=1), y.sum(axis=0)
+        if not (ry.all() and cy.all()):
+            return None  # an empty row or column: log(ry / p) is -inf there
         fy = _objective_from_marginals(ry, cy, p, q)
         g = np.log(ry / p)[:, None] + np.log(cy / q)[None, :]
         for _ in range(max_doublings):

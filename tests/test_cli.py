@@ -13,6 +13,7 @@ import pytest
 
 import pinkhorn
 from pinkhorn.cli import (
+    CliInputError,
     main,
     read_matrix_csv,
     read_system_csv,
@@ -78,9 +79,12 @@ class TestFileFormats:
         assert kind == "dense"
         np.testing.assert_array_equal(matrix, [[1.0, 0.0], [0.0, 2.0]])
         trip = write(tmp_path / "trip.csv", "row,col,value\n0,0,1\n1,2,2.5\n")
-        kind, triplets, n_rows, n_cols = read_system_csv(trip)
+        kind, (rows, cols, values), n_rows, n_cols = read_system_csv(trip)
         assert kind == "triplets"
-        assert triplets == [(0, 0, 1.0), (1, 2, 2.5)]
+        assert rows.tolist() == [0, 1]
+        assert cols.tolist() == [0, 2]
+        assert values.tolist() == [1.0, 2.5]
+        assert rows.dtype.kind == cols.dtype.kind == "i"
         assert (n_rows, n_cols) == (2, 3)
 
     def test_malformed_inputs_report_location(self, tmp_path):
@@ -95,6 +99,87 @@ class TestFileFormats:
         short = write(tmp_path / "short.csv", "row,col,value\n0,0\n")
         with pytest.raises(Exception):
             read_system_csv(short)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("row,col,value\n0,0,1\n0,1,1\n1,0,x\n", "4: bad triplet: could not convert string to float: 'x'"),
+            ("row,col,value\n0,0,1\n1.5,1,2\n", "3: bad triplet: invalid literal for int() with base 10: '1.5'"),
+            ("row,col,value\n0,0,1\n1,2.5,2\n", "3: bad triplet: invalid literal for int() with base 10: '2.5'"),
+            ("row,col,value\n0,0,1\n0,1\n", "3: expected row,col,value"),
+            ("row,col,value\n0,0,1,2\n", "2: expected row,col,value"),
+            ("row,col,value\n\n0,0,1\n  \n1,1,oops\n", "5: bad triplet: could not convert string to float: 'oops'"),
+            ("row,col,value\n\n", " triplet file has a header but no entries"),
+        ],
+    )
+    def test_malformed_triplets_report_line(self, tmp_path, text, reason):
+        path = write(tmp_path / "t.csv", text)
+        with pytest.raises(CliInputError) as exc:
+            read_system_csv(path)
+        assert str(exc.value) == f"{path}:{reason}"
+
+    def test_triplets_the_bulk_parser_rejects_name_the_file(self, tmp_path):
+        # int() reads "1_0" as 10, numpy's parser rejects it: still an input error
+        path = write(tmp_path / "t.csv", "row,col,value\n1_0,0,1\n")
+        with pytest.raises(CliInputError, match=f"^{re.escape(path)}: bad triplet: "):
+            read_system_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("1,2\n3\n", "2: expected 2 columns, found 1"),
+            ("1,2\n\n  \n3,4,5\n", "4: expected 2 columns, found 3"),
+            ("1,2\n\n3, oops\n", "3: not a number: could not convert string to float: 'oops'"),
+            ("1,,2\n", "1: not a number: could not convert string to float: ''"),
+            ("\n \n", " no data rows"),
+        ],
+    )
+    def test_malformed_dense_rows_report_line(self, tmp_path, text, reason):
+        path = write(tmp_path / "m.csv", text)
+        for read in (read_matrix_csv, read_system_csv):
+            with pytest.raises(CliInputError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}:{reason}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_and_line_endings(self, tmp_path, newline):
+        lines = ["", "1.5, 2", "  ", "", "\t3,-4e-3 ", ""]
+        dense = write(tmp_path / "d.csv", newline.join(lines))
+        np.testing.assert_array_equal(read_matrix_csv(dense), [[1.5, 2.0], [3.0, -4e-3]])
+        np.testing.assert_array_equal(read_vector_csv(dense), [1.5, 2.0, 3.0, -4e-3])
+        lines = ["", "row,col,value", "0,1,2.5", " ", "2, 0 ,1e-3", ""]
+        trip = tmp_path / "t.csv"
+        trip.write_bytes(newline.join(lines).encode())
+        kind, (rows, cols, values), n_rows, n_cols = read_system_csv(str(trip))
+        assert kind == "triplets"
+        assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 2], [1, 0], [2.5, 1e-3])
+        assert (n_rows, n_cols) == (3, 2)
+
+    def test_writers_keep_the_17_digit_format(self, tmp_path):
+        # the reference is each float written as f"{float(v):.17g}"
+        ref = lambda v: f"{float(v):.17g}"
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+                   -1.7976931348623157e308, np.inf, -np.inf, 1.0, 3.0, -42.0, 0.1, 1 / 3]
+        bits = np.random.default_rng(61).integers(0, 2**64, 186, dtype=np.uint64, endpoint=False)
+        values = np.concatenate((special, bits.view(np.float64)))
+        values = values[~np.isnan(values)]  # NaN compares unequal to itself
+        matrix = values[: 10 * (values.size // 10)].reshape(-1, 10)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(str(path), matrix)
+        assert path.read_text() == "".join(",".join(map(ref, row)) + "\n" for row in matrix)
+        back = read_matrix_csv(str(path))
+        np.testing.assert_array_equal(back.view(np.int64), matrix.view(np.int64))
+        write_vector_csv(str(path), values)
+        assert path.read_text() == "".join(ref(v) + "\n" for v in values)
+        np.testing.assert_array_equal(read_vector_csv(str(path)).view(np.int64), values.view(np.int64))
+        write_matrix_csv(str(path), np.arange(6).reshape(2, 3))
+        assert path.read_text() == "0,1,2\n3,4,5\n"
+        trace = [TraceEntry(k, *values[3 * k : 3 * k + 3]) for k in range(values.size // 3)]
+        write_telemetry_csv(str(path), trace)
+        expected = "iter,objective,violation_l1,time_ms\n" + "".join(
+            f"{e.iteration},{ref(e.objective)},{ref(e.violation_l1)},{ref(e.time_ms)}\n" for e in trace
+        )
+        assert path.read_text() == expected
 
 
 class TestSolveCommand:

@@ -86,6 +86,18 @@ def test_kl_terms_is_nonnegative_near_equality():
     assert np.all(kl_terms(x, y) >= 0.0)
 
 
+def test_kl_terms_tiny_ratio_tends_to_y():
+    # below x/y = 2^-54, x/y - 1 rounds to -1 and log1p(-1) = -inf; the term
+    # y (1 - r + r log r) with r = x/y is y to within an ulp or two
+    for r in (1e-17, 1e-20, 1e-300, 5e-324):
+        for y in (1.0, 3.0, 1e-200):
+            got = float(kl_terms(np.array([r * y]), np.array([y]))[0])
+            assert got == pytest.approx(y, rel=1e-15)
+    assert kl_div([1e-20], [1.0]) == pytest.approx(1.0, rel=1e-15)
+    # x/y itself underflows to zero: the same limit
+    assert kl_div([1e-300], [1e300]) == pytest.approx(1e300, rel=1e-15)
+
+
 def test_mirror_map_and_gradients():
     # 1 * (log 1 - 1) + e * (log e - 1) = -1 + 0
     x = np.array([1.0, np.e])

@@ -1,5 +1,7 @@
 """Solver family: mirror-descent core, matrix-scaling methods, telemetry."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,17 @@ class TestGreenkhorn:
         assert report.selected[0] == 3
         assert report.final_iterate.sum(axis=0)[1] == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("offset", [100.0, 700.0])
+    def test_selects_row_whose_marginal_is_far_below_target(self, offset):
+        # row 0 holds about exp(-offset) of its target, below 2^-54 of it, so
+        # its penalty is about p_0 and it must be selected, not read as 0
+        cost = [[offset, offset + 1.0], [0.0, 1.0]]
+        prob = OTProblem(cost=cost, gamma=1.0, p=[0.5, 0.5], q=[0.5, 0.5])
+        report = greenkhorn(prob, SolverConfig(max_iter=2000))
+        assert report.stop_reason == "converged"
+        assert report.iterations <= 4
+        assert 0 in report.selected
+
 
 class TestPinkhorn:
     def test_first_step_outer_update(self):
@@ -407,6 +420,16 @@ class TestAccPinkhorn:
         for prev, nxt in zip(objs, objs[1:]):
             assert nxt <= prev + 1e-12
         assert marginal_violation(prob, report.final_iterate) <= 1e-8
+
+    def test_underflowed_row_ends_numeric_failure_without_warning(self):
+        # exp(-800) underflows, so row 0 of the start has no mass and the
+        # gradient log(r / p) is undefined there
+        prob = OTProblem(cost=[[800.0, 801.0], [0.0, 1.0]], gamma=1.0, p=[0.5, 0.5], q=[0.3, 0.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn"))
+        assert report.stop_reason == "numeric_failure"
+        assert report.iterations == 0
 
 
 class TestDispatchAndTrace:
