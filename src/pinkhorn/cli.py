@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from array import array
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -44,44 +43,73 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _reading(path: str):
-    """An open text file; an OSError while opening or reading it is an input error."""
+    """An open text file; failing to open, read or decode it is an input error."""
     try:
         with open(path, encoding="utf-8") as handle:
             yield handle
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _float_error(line: str) -> ValueError:
-    """float()'s error on the first bad cell of ``line``, named as the stripped cell."""
-    for cell in line.split(","):
+def _parse(path: str, allow_triplets: bool):
+    """Read a CSV file once, its non-blank lines through numpy's parser.
+
+    Returns ``(triplets, table)``: a float matrix, or (row, col, value)
+    records when ``allow_triplets`` and the first line is the triplet header.
+    Only when the parse fails does a rescan name the first bad line.
+    """
+    with _reading(path) as handle:
+        lines = (line for line in handle if not line.isspace())
+        first = next(lines, None)
+        if first is None:
+            raise CliInputError(f"{path}: no data rows")
+        header = tuple(cell.strip().lower() for cell in first.split(","))
+        triplets = allow_triplets and header == _TRIPLET_HEADER
+        if triplets:
+            first = next(lines, None)
+            if first is None:
+                raise CliInputError(f"{path}: triplet file has a header but no entries")
+        dtype, ndmin = (_TRIPLET_DTYPE, 1) if triplets else (np.float64, 2)
         try:
-            float(cell.strip())
+            table = np.loadtxt(chain((first,), lines), dtype, delimiter=",", comments=None, ndmin=ndmin)
+        except UnicodeDecodeError:
+            raise  # a read error, not a bad cell
         except ValueError as exc:
-            return exc
+            raise _line_error(path, triplets, exc) from exc
+    return triplets, table
+
+
+def _line_error(path: str, triplets: bool, exc: ValueError) -> CliInputError:
+    """Name the first data line that int() and float() do not read as the format.
+
+    A dense line holds floats, as many as the first line; a triplet line an
+    int, an int and a float.  A file this scan passes (a cell float() reads
+    but numpy does not) is named with numpy's message ``exc`` and no line.
+    """
+    reason = "bad triplet" if triplets else "not a number"
+    width = None
+    with _reading(path) as handle:
+        lines = ((n, line) for n, line in enumerate(handle, start=1) if not line.isspace())
+        if triplets:
+            next(lines, None)  # the header
+        for lineno, line in lines:
+            cells = [cell.strip() for cell in line.split(",")]
+            if triplets and len(cells) != 3:
+                return CliInputError(f"{path}:{lineno}: expected row,col,value")
+            try:
+                for kind, cell in zip((int, int, float) if triplets else repeat(float), cells):
+                    kind(cell)
+            except ValueError as cell_exc:
+                return CliInputError(f"{path}:{lineno}: {reason}: {cell_exc}")
+            width = width or len(cells)
+            if len(cells) != width:
+                return CliInputError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
+    return CliInputError(f"{path}: {reason}: {exc}")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
     """Dense headerless CSV, one matrix row per line; blank lines are skipped."""
-    values = array("d")
-    width = None
-    with _reading(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
-            start = len(values)
-            try:
-                values.extend(map(float, line.split(",")))
-            except ValueError as exc:
-                raise CliInputError(f"{path}:{lineno}: not a number: {_float_error(line)}") from exc
-            found = len(values) - start
-            if width is None:
-                width = found
-            elif found != width:
-                raise CliInputError(f"{path}:{lineno}: expected {width} columns, found {found}")
-    if width is None:
-        raise CliInputError(f"{path}: no data rows")
-    return np.array(values).reshape(-1, width)
+    return _parse(path, allow_triplets=False)[1]
 
 
 def read_vector_csv(path: str) -> np.ndarray:
@@ -89,55 +117,18 @@ def read_vector_csv(path: str) -> np.ndarray:
     return read_matrix_csv(path).reshape(-1)
 
 
-def _triplet_error(path: str, exc: ValueError) -> CliInputError:
-    """Name the first entry line that does not read as an int, an int and a float.
-
-    Called only after the bulk parse of a triplet file has failed.
-    """
-    with _reading(path) as handle:
-        lines = ((n, line) for n, line in enumerate(handle, start=1) if not line.isspace())
-        next(lines)  # the header
-        for lineno, line in lines:
-            cells = [cell.strip() for cell in line.split(",")]
-            if len(cells) != 3:
-                return CliInputError(f"{path}:{lineno}: expected row,col,value")
-            try:
-                int(cells[0]), int(cells[1]), float(cells[2])
-            except ValueError as cell_exc:
-                return CliInputError(f"{path}:{lineno}: bad triplet: {cell_exc}")
-    return CliInputError(f"{path}: bad triplet: {exc}")
-
-
 def read_system_csv(path: str):
     """Dense or triplet constraint matrix; triplet files start with row,col,value.
 
-    Returns ``("dense", matrix)`` or ``("triplets", (rows, cols, values),
-    n_rows, n_cols)``, where ``rows`` and ``cols`` are integer arrays.
+    Returns the entries ``(rows, cols, values, n_rows, n_cols)`` with integer
+    ``rows`` and ``cols``; a dense matrix gives its nonzeros and its shape.
     """
-    with _reading(path) as handle:
-        lines = (line for line in handle if not line.isspace())
-        header = next(lines, None)
-        if header is None:
-            raise CliInputError(f"{path}: no data rows")
-        triplets = tuple(cell.strip().lower() for cell in header.split(",")) == _TRIPLET_HEADER
-        if triplets:
-            first = next(lines, None)
-            if first is None:
-                raise CliInputError(f"{path}: triplet file has a header but no entries")
-            try:
-                table = np.loadtxt(
-                    chain((first,), lines),
-                    dtype=_TRIPLET_DTYPE,
-                    delimiter=",",
-                    comments=None,
-                    ndmin=1,
-                )
-            except ValueError as exc:
-                raise _triplet_error(path, exc) from exc
+    triplets, table = _parse(path, allow_triplets=True)
     if not triplets:
-        return ("dense", read_matrix_csv(path))
+        rows, cols = np.nonzero(table)
+        return rows, cols, table[rows, cols], *table.shape
     rows, cols = table["row"], table["col"]
-    return ("triplets", (rows, cols, table["value"]), int(rows.max()) + 1, int(cols.max()) + 1)
+    return rows, cols, table["value"], int(rows.max()) + 1, int(cols.max()) + 1
 
 
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
@@ -177,18 +168,18 @@ def _parse_blocks(value: str):
         source, text = "--blocks", value
     else:
         source = value
-        try:
-            with open(value, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise CliInputError(f"cannot read {value}: {exc}") from exc
+        with _reading(value) as handle:
+            text = handle.read()
     try:
         blocks = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{source}: invalid JSON: {exc}") from exc
-    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+    # a JSON float, bool or null is not a row index, even 1.0
+    if not isinstance(blocks, list) or not all(
+        isinstance(block, list) and all(type(i) is int for i in block) for block in blocks
+    ):
         raise CliInputError(f"{source}: expected a list of lists of row indices")
-    return [[int(i) for i in block] for block in blocks]
+    return blocks
 
 
 def _solver_config(args, method: str | None = None) -> SolverConfig:
@@ -240,17 +231,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_system(args) -> int:
-    parsed = read_system_csv(args.matrix)
+    rows, cols, values, n_rows, n_cols = read_system_csv(args.matrix)
     b = read_vector_csv(args.b)
     blocks = _parse_blocks(args.blocks) if args.blocks else None
+    if b.size != n_rows:
+        raise CliInputError(f"b has {b.size} entries for {n_rows} triplet rows")
     try:
-        if parsed[0] == "dense":
-            system = ConstraintSystem.from_dense(parsed[1], b, blocks=blocks)
-        else:
-            _, (rows, cols, values), n_rows, n_cols = parsed
-            if b.size != n_rows:
-                raise ValueError(f"b has {b.size} entries for {n_rows} triplet rows")
-            system = ConstraintSystem._from_entries(rows, cols, values, b, n_cols, blocks)
+        system = ConstraintSystem._from_entries(rows, cols, values, b, n_cols, blocks)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     if args.x0:

@@ -9,6 +9,7 @@ normalization being the motivating case).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,7 +71,10 @@ class ConstraintSystem:
         b = np.asarray(b, dtype=np.float64).reshape(-1)
         if blocks is None:
             blocks = [[i] for i in range(b.size)]
-        self.blocks: list[list[int]] = [[int(i) for i in block] for block in blocks]
+        try:
+            self.blocks: list[list[int]] = [[operator.index(i) for i in block] for block in blocks]
+        except TypeError as exc:
+            raise ValueError(f"blocks must hold integer row indices: {exc}") from exc
         order = np.array([i for block in self.blocks for i in block], dtype=np.intp)
         sizes = np.array([len(block) for block in self.blocks])
         if not sizes.all() or not np.array_equal(np.sort(order), np.arange(b.size)):

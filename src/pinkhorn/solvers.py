@@ -440,11 +440,13 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     l_floor = 1e-6
     max_doublings = 80
 
-    def objective(mat: np.ndarray) -> float:
-        return _objective_from_marginals(mat.sum(axis=1), mat.sum(axis=0), p, q)
+    def marginals(mat: np.ndarray):
+        """Row sums, column sums and objective of ``mat``, each summed once."""
+        r, c = mat.sum(axis=1), mat.sum(axis=0)
+        return r, c, _objective_from_marginals(r, c, p, q)
 
     def try_step(xc, zc, th, lc):
-        """Backtracked accelerated step; returns (x_new, z_new, L, f_new) or None."""
+        """Backtracked accelerated step; returns (x_new, z_new, L, marginals) or None."""
         y = (1.0 - th) * xc + th * zc
         ry, cy = y.sum(axis=1), y.sum(axis=0)
         if not (ry.all() and cy.all()):
@@ -458,37 +460,39 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
                 lc *= 2.0
                 continue
             x_new = (1.0 - th) * xc + th * z_new
-            f_new = objective(x_new)
+            m_new = marginals(x_new)
+            f_new = m_new[2]
             bound = fy + float(np.sum(g * (x_new - y))) + lc * float(np.sum(kl_terms(x_new, y)))
             # slack is relative to the objective scale: an absolute slack
             # would let a too-small L pass once f is tiny, and the collapsed
             # L then makes every later step overshoot
             if f_new <= bound + 1e-9 * max(fy, f_new):
-                return x_new, z_new, lc, f_new
+                return x_new, z_new, lc, m_new
             lc *= 2.0
         return None
 
-    fx = objective(x)
+    mx = marginals(x)  # x's row sums, column sums and objective, replaced with x
 
     def measure() -> tuple[float, float]:
-        return fx, float(np.abs(x.sum(axis=1) - p).sum() + np.abs(x.sum(axis=0) - q).sum())
+        rx, cx, fx = mx
+        return fx, float(np.abs(rx - p).sum() + np.abs(cx - q).sum())
 
     def step(k: int) -> bool:
-        nonlocal x, z, fx, theta, L
+        nonlocal x, z, mx, theta, L
         nxt = try_step(x, z, theta, L)
         if nxt is None:
             return False
-        x_new, z_new, L, f_new = nxt
-        if f_new > fx:
+        x_new, z_new, L, m_new = nxt
+        if m_new[2] > mx[2]:
             theta, z = 1.0, x.copy()
             nxt = try_step(x, z, theta, L)
             if nxt is None:
                 return False
-            x_new, z_new, L, f_new = nxt
-            if f_new > fx:
-                # numerical floor: hold x, keep the z progress
-                x_new, f_new = x, fx
-        x, z, fx = x_new, z_new, f_new
+            x_new, z_new, L, m_new = nxt
+            if m_new[2] > mx[2]:
+                # numerical floor: hold x and its sums, keep the z progress
+                x_new, m_new = x, mx
+        x, z, mx = x_new, z_new, m_new
         L = max(L / 2.0, l_floor)
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
         return True

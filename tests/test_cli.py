@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pinkhorn
+from pinkhorn import cli
 from pinkhorn.cli import (
     CliInputError,
     main,
@@ -75,12 +76,12 @@ class TestFileFormats:
 
     def test_system_csv_dense_vs_triplets(self, tmp_path):
         dense = write(tmp_path / "dense.csv", "1,0\n0,2\n")
-        kind, matrix = read_system_csv(dense)
-        assert kind == "dense"
-        np.testing.assert_array_equal(matrix, [[1.0, 0.0], [0.0, 2.0]])
+        rows, cols, values, n_rows, n_cols = read_system_csv(dense)
+        assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [0, 1], [1.0, 2.0])
+        assert rows.dtype.kind == cols.dtype.kind == "i"
+        assert (n_rows, n_cols) == (2, 2)
         trip = write(tmp_path / "trip.csv", "row,col,value\n0,0,1\n1,2,2.5\n")
-        kind, (rows, cols, values), n_rows, n_cols = read_system_csv(trip)
-        assert kind == "triplets"
+        rows, cols, values, n_rows, n_cols = read_system_csv(trip)
         assert rows.tolist() == [0, 1]
         assert cols.tolist() == [0, 2]
         assert values.tolist() == [1.0, 2.5]
@@ -141,6 +142,57 @@ class TestFileFormats:
                 read(path)
             assert str(exc.value) == f"{path}:{reason}"
 
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661"])
+    def test_dense_cells_the_bulk_parser_rejects_name_the_file(self, tmp_path, capsys, cell):
+        # float() reads digit grouping and non-ASCII digits, numpy's parser does not
+        path = write(tmp_path / "m.csv", f"1,2\n3,{cell}\n")
+        vector = write(tmp_path / "v.csv", f"0.5\n{cell}\n")
+        for read, source in [(read_matrix_csv, path), (read_system_csv, path), (read_vector_csv, vector)]:
+            with pytest.raises(CliInputError, match=f"^{re.escape(source)}: not a number: "):
+                read(source)
+        p = write(tmp_path / "p.csv", "0.5\n0.5\n")
+        code, _, err = run_cli(capsys, "solve", "--cost", path, "--p", p, "--q", p, "--gamma", "1")
+        assert code == 1
+        assert err.startswith(f"error: {path}: not a number: ")
+
+    def test_system_file_is_opened_once(self, tmp_path, monkeypatch):
+        opened = []
+        reading = cli._reading
+
+        def counting(path):
+            opened.append(path)
+            return reading(path)
+
+        monkeypatch.setattr(cli, "_reading", counting)
+        dense = write(tmp_path / "d.csv", "1,0\n0,2\n")
+        trip = write(tmp_path / "t.csv", "row,col,value\n0,0,1\n1,1,2\n")
+        read_system_csv(dense)
+        read_system_csv(trip)
+        assert opened == [dense, trip]
+
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (["solve", "--cost", "{bad}", "--p", "{vec}", "--q", "{vec}", "--gamma", "1"], b"0,1\n\xff,0\n"),
+            (["solve", "--cost", "{good}", "--p", "{bad}", "--q", "{vec}", "--gamma", "1"], b"0.5\n" * 5000 + b"\xff\n"),
+            (["system", "--matrix", "{bad}", "--b", "{vec}"], b"row,col,value\n0,0,1\n1,1,\xff\n"),
+            (["system", "--matrix", "{bad}", "--b", "{vec}"], b"\xfe,0\n0,1\n"),
+            (["system", "--matrix", "{good}", "--b", "{vec}", "--blocks", "{bad}"], b'[[0], [\xff]]'),
+        ],
+        ids=["cost", "vector-past-first-buffer", "triplets", "dense-system", "blocks"],
+    )
+    def test_non_utf8_input_is_a_read_error(self, tmp_path, capsys, argv, body):
+        bad = tmp_path / "bad"
+        bad.write_bytes(body)
+        files = {
+            "bad": str(bad),
+            "good": write(tmp_path / "good.csv", "0,1\n1,0\n"),
+            "vec": write(tmp_path / "vec.csv", "0.5\n0.5\n"),
+        }
+        code, _, err = run_cli(capsys, *(arg.format(**files) for arg in argv))
+        assert code == 1
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte")
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_blank_lines_and_line_endings(self, tmp_path, newline):
         lines = ["", "1.5, 2", "  ", "", "\t3,-4e-3 ", ""]
@@ -150,8 +202,7 @@ class TestFileFormats:
         lines = ["", "row,col,value", "0,1,2.5", " ", "2, 0 ,1e-3", ""]
         trip = tmp_path / "t.csv"
         trip.write_bytes(newline.join(lines).encode())
-        kind, (rows, cols, values), n_rows, n_cols = read_system_csv(str(trip))
-        assert kind == "triplets"
+        rows, cols, values, n_rows, n_cols = read_system_csv(str(trip))
         assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 2], [1, 0], [2.5, 1e-3])
         assert (n_rows, n_cols) == (3, 2)
 
@@ -427,6 +478,29 @@ class TestSystemCommand:
             capsys, "system", "--matrix", matrix, "--b", b1, "--x0", x0_bad
         )
         assert code == 1
+
+    def test_dense_and_triplet_files_give_the_same_run(self, capsys, tmp_path):
+        dense = write(tmp_path / "a.csv", "1,0,2\n0,0.5,0\n0,0,0.25\n")
+        trip = write(tmp_path / "t.csv", "row,col,value\n2,2,0.25\n0,2,2\n1,1,0.5\n0,0,1\n")
+        b = write(tmp_path / "b.csv", "3\n0.4\n0.25\n")
+        results = []
+        for matrix in (dense, trip):
+            out = tmp_path / "x.csv"
+            code, summary, _ = run_cli(
+                capsys, "system", "--matrix", matrix, "--b", b, "--blocks", "[[0], [1, 2]]",
+                "--out", str(out),
+            )
+            assert code == 0
+            results.append((summary, out.read_bytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("blocks", ['[["a"], [1]]', "[[null], [1]]", "[[0.7], [1]]", "[[1.0], [0]]", "[[true], [0]]"])
+    def test_blocks_entries_must_be_json_integers(self, capsys, tmp_path, blocks):
+        matrix = write(tmp_path / "a.csv", "1,0\n0,1\n")
+        b = write(tmp_path / "b.csv", "1\n2\n")
+        code, _, err = run_cli(capsys, "system", "--matrix", matrix, "--b", b, "--blocks", blocks)
+        assert code == 1
+        assert err == "error: --blocks: expected a list of lists of row indices\n"
 
     def test_negative_b_rejected(self, capsys, tmp_path):
         matrix = write(tmp_path / "a.csv", "1,1\n")

@@ -69,6 +69,16 @@ class TestConstraintSystem:
         with pytest.raises(ValueError):
             ConstraintSystem(rows, dimension=3, blocks=[[0, 1], [1, 2]])
 
+    @pytest.mark.parametrize("entry", [0.7, 1.0, np.float64(1.0), "1", None])
+    def test_block_entries_must_be_integers(self, entry):
+        # a float is not truncated to a row index
+        rows = [Hyperplane(indices=[j], values=[1.0], b=1.0) for j in range(3)]
+        with pytest.raises(ValueError, match="integer row indices"):
+            ConstraintSystem(rows, dimension=3, blocks=[[0, entry], [2]])
+        sys_ = ConstraintSystem(rows, dimension=3, blocks=[np.array([0, 1]), [np.int32(2)]])
+        assert sys_.blocks == [[0, 1], [2]]
+        assert all(type(i) is int for block in sys_.blocks for i in block)
+
     def test_construction_errors(self):
         row = Hyperplane(indices=[0, 4], values=[1.0, 1.0], b=1.0)
         with pytest.raises(ValueError):
