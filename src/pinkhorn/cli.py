@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from itertools import chain, repeat
@@ -83,16 +84,18 @@ def _line_error(path: str, triplets: bool, exc: ValueError) -> CliInputError:
     """Name the first data line that int() and float() do not read as the format.
 
     A dense line holds floats, as many as the first line; a triplet line an
-    int, an int and a float.  A file this scan passes (a cell float() reads
-    but numpy does not) is named with numpy's message ``exc`` and no line.
+    int, an int and a float.  A cell float() reads but numpy does not (digit
+    grouping, non-ASCII digits) is named at the data row numpy's message
+    ``exc`` gives, counted from 0; without one the message names no line.
     """
     reason = "bad triplet" if triplets else "not a number"
+    rejected = re.fullmatch(r"(.*) at row (\d+), column \d+\.", str(exc))
     width = None
     with _reading(path) as handle:
         lines = ((n, line) for n, line in enumerate(handle, start=1) if not line.isspace())
         if triplets:
             next(lines, None)  # the header
-        for lineno, line in lines:
+        for row, (lineno, line) in enumerate(lines):
             cells = [cell.strip() for cell in line.split(",")]
             if triplets and len(cells) != 3:
                 return CliInputError(f"{path}:{lineno}: expected row,col,value")
@@ -104,6 +107,8 @@ def _line_error(path: str, triplets: bool, exc: ValueError) -> CliInputError:
             width = width or len(cells)
             if len(cells) != width:
                 return CliInputError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
+            if rejected and row == int(rejected[2]):
+                return CliInputError(f"{path}:{lineno}: {reason}: {rejected[1]}")
     return CliInputError(f"{path}: {reason}: {exc}")
 
 

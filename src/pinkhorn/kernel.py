@@ -69,15 +69,18 @@ def kl_terms(x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    ratio = x / y
-    t = ratio - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = x / y
+        t = ratio - 1.0
         h = ratio * np.log1p(t) - t
-    # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may even
-    # underflow to zero); there the term is y (1 - r + r log r) = y to an ulp
-    h = np.where(t == -1.0, -t, h)
-    # each term is mathematically >= 0; shave off negative roundoff
-    return y * np.maximum(h, 0.0)
+        # h is -inf or NaN only at the two limits, where the term is y |t|:
+        # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may
+        # even underflow to zero), and y (1 - r + r log r) = y to an ulp;
+        # when x/y overflows, t is inf and so is the term
+        h = np.where(h > -np.inf, h, np.abs(t))
+        # each term is mathematically >= 0; shave off negative roundoff.  A
+        # term beyond the double range is inf
+        return y * np.maximum(h, 0.0)
 
 
 def kl_div(x, y) -> float:

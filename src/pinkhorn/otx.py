@@ -121,14 +121,20 @@ def transport_cost(problem: OTProblem, plan) -> float:
     return float(np.sum(problem.cost * plan))
 
 
-def _objective_from_marginals(r, c, p, q) -> float:
-    """Objective from plan marginals r = X 1 and c = X^T 1.
+def _marginals(plan: np.ndarray) -> np.ndarray:
+    """Row sums then column sums of a plan, stacked as the targets (p, q) are."""
+    return np.concatenate((plan.sum(axis=1), plan.sum(axis=0)))
 
-    <r, log(r/p) - 1> + <1, p> + <c, log(c/q) - 1> + <1, q>, i.e. the sum of
-    per-row and per-column KL penalties, evaluated via the cancellation-free
-    elementwise form so near-feasible values stay resolvable.
+
+def _penalties(rc, pq, n: int) -> tuple[np.ndarray, float, float]:
+    """(per-constraint KL penalties, objective, l1 violation) of stacked marginals.
+
+    ``rc`` and ``pq`` hold the n rows, then the columns; both totals are
+    summed per side, rows then columns.
     """
-    return float(np.sum(kl_terms(r, p)) + np.sum(kl_terms(c, q)))
+    per = kl_terms(rc, pq)
+    gap = np.abs(rc - pq)
+    return per, float(per[:n].sum() + per[n:].sum()), float(gap[:n].sum() + gap[n:].sum())
 
 
 def ot_objective(problem: OTProblem, plan) -> float:
@@ -140,7 +146,7 @@ def ot_objective(problem: OTProblem, plan) -> float:
     plan = as_positive_matrix(plan)
     if plan.shape != problem.shape:
         raise ValueError(f"plan shape {plan.shape} does not match cost {problem.shape}")
-    return _objective_from_marginals(plan.sum(axis=1), plan.sum(axis=0), problem.p, problem.q)
+    return _penalties(_marginals(plan), np.concatenate((problem.p, problem.q)), problem.shape[0])[1]
 
 
 def marginal_violation(problem: OTProblem, plan) -> float:

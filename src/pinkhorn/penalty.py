@@ -73,9 +73,9 @@ class ConstraintSystem:
             blocks = [[i] for i in range(b.size)]
         try:
             self.blocks: list[list[int]] = [[operator.index(i) for i in block] for block in blocks]
-        except TypeError as exc:
+            order = np.array([i for block in self.blocks for i in block], dtype=np.intp)
+        except (TypeError, OverflowError) as exc:  # OverflowError: an index beyond intp
             raise ValueError(f"blocks must hold integer row indices: {exc}") from exc
-        order = np.array([i for block in self.blocks for i in block], dtype=np.intp)
         sizes = np.array([len(block) for block in self.blocks])
         if not sizes.all() or not np.array_equal(np.sort(order), np.arange(b.size)):
             raise ValueError("blocks must partition the row indices into nonempty blocks")

@@ -4,7 +4,7 @@ The projection of a positive vector onto ``{z : <a, z> = b}`` in KL distance
 has the form ``z = x * exp(alpha * a)`` (coordinate-wise).  For 0/1 rows the
 multiplier is closed form, ``alpha = log(b / <a, x>)``, which is plain
 proportional rescaling of the support.  For general nonnegative rows alpha
-is the root of a monotone 1-D equation solved here by safeguarded Newton.
+is the root of a monotone convex 1-D equation, solved here by Newton's method.
 """
 
 from __future__ import annotations
@@ -112,9 +112,13 @@ def project_general(x, h: Hyperplane, tol: float = 1e-12, max_iter: int = 200) -
 
     Finds the unique alpha with ``sum_j a_j x_j exp(alpha a_j) = b`` and
     returns ``x * exp(alpha * a)``.  The residual is driven below
-    ``tol * b``; the solve works on log(sum exp) so huge exponents cannot
-    overflow.  Safeguarded Newton: the root stays bracketed and any Newton
-    step leaving the bracket falls back to bisection.
+    ``tol * b`` within ``max_iter`` Newton steps, else ConvergenceError; the
+    solve works on log(sum exp) so huge exponents cannot overflow.  The
+    residual log <a, x exp(alpha a)> - log b is increasing and convex in
+    alpha, with slope at least min a > 0, so Newton needs no safeguard: from
+    the start log(b / <a, x>) / max a it descends monotonically onto the
+    root when the residual is >= 0 there, and lands above the root in one
+    step when it is < 0.
     """
     x = as_positive_vector(x)
     if tol <= 0.0:
@@ -126,50 +130,17 @@ def project_general(x, h: Hyperplane, tol: float = 1e-12, max_iter: int = 200) -
         raise ValueError("inner product <a, x> must be positive")
     base = np.log(a) + np.log(xs)
     log_b = np.log(h.b)
-
-    def residual(alpha: float) -> float:
-        # log <a, x * exp(alpha a)> - log b
-        return log_sum_exp(base + alpha * a) - log_b
-
     alpha = np.log(h.b / s) / float(a.max())
-    r = residual(alpha)
-    if abs(np.expm1(r)) <= tol:
-        z = x.copy()
-        z[h.indices] *= np.exp(alpha * a)
-        return z
-
-    # Expand an initial bracket [lo, hi] with residual(lo) < 0 < residual(hi).
-    step = max(1.0, abs(alpha))
-    if r > 0.0:
-        hi, lo = alpha, alpha - step
-        while residual(lo) > 0.0:
-            lo -= step
-            step *= 2.0
-            if step > 1e308:
-                raise ConvergenceError("failed to bracket the projection multiplier")
-    else:
-        lo, hi = alpha, alpha + step
-        while residual(hi) < 0.0:
-            hi += step
-            step *= 2.0
-            if step > 1e308:
-                raise ConvergenceError("failed to bracket the projection multiplier")
-
-    for _ in range(max_iter):
-        r = residual(alpha)
-        if abs(np.expm1(r)) <= tol:
-            z = x.copy()
-            z[h.indices] *= np.exp(alpha * a)
-            return z
-        if r > 0.0:
-            hi = alpha
-        else:
-            lo = alpha
+    for _ in range(max_iter + 1):
+        r = log_sum_exp(base + alpha * a) - log_b
+        # the step from below may land far above the root, where expm1 is inf
+        with np.errstate(over="ignore"):
+            if abs(np.expm1(r)) <= tol:
+                z = x.copy()
+                z[h.indices] *= np.exp(alpha * a)
+                return z
         # d/dalpha log sum exp = softmax-weighted mean of the coefficients
-        w = np.exp(base + alpha * a - (r + log_b))
-        slope = float(a @ w)
-        nxt = alpha - r / slope if slope > 0.0 else np.inf
-        alpha = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        alpha -= r / float(a @ np.exp(base + alpha * a - (r + log_b)))
     raise ConvergenceError(
         f"projection multiplier did not converge within {max_iter} iterations"
     )

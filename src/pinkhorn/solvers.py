@@ -36,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
-from .otx import (
-    OTProblem,
-    Potentials,
-    _objective_from_marginals,
-    as_constraint_system,
-    gibbs_kernel,
-)
+from .otx import OTProblem, Potentials, _marginals, _penalties, as_constraint_system, gibbs_kernel
 from .penalty import ConstraintSystem
 
 __all__ = [
@@ -335,15 +329,9 @@ class _Scaling:
         return self._absorb(w)
 
     def measure(self) -> tuple[float, float]:
-        """(objective, l1 violation) of the plan; keeps the per-constraint penalties.
-
-        Both are summed per side, rows then columns, as ``ot_objective`` and
-        ``marginal_violation`` sum them.
-        """
-        n = self.n
-        self.penalties = per = kl_terms(self.rc, self.pq)
-        gap = np.abs(self.rc - self.pq)
-        return float(per[:n].sum() + per[n:].sum()), float(gap[:n].sum() + gap[n:].sum())
+        """(objective, l1 violation) of the plan; keeps the per-constraint penalties."""
+        self.penalties, objective, violation = _penalties(self.rc, self.pq, self.n)
+        return objective, violation
 
     def potentials(self) -> Potentials:
         w = self.w + np.log(self.ab)
@@ -422,7 +410,10 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
 
     Coupled sequences (y, z, x): y extrapolates between x and z, z takes a
     mirror step on grad f(y) scaled by theta * L, and x is the matching
-    convex combination.  theta follows the accelerated recursion
+    convex combination.  grad f(y) is log(r/p) on row i plus log(c/q) on
+    column j, one stacked vector ``g`` of y's row and column sums, so the
+    mirror step scales the rows and columns of z and the linear term of the
+    bound comes from the marginals.  theta follows the accelerated recursion
     (1 - theta') / theta'^2 = 1 / theta^2.  L is adapted by backtracking:
     doubled until the local upper bound
 
@@ -432,72 +423,62 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     theta resets to 1 and the step is retaken from x (function-value
     restart), which makes the recorded objective non-increasing.
     """
-    x = np.exp(gibbs_kernel(problem))
-    p, q = problem.p, problem.q
-    z = x.copy()
+    x = z = np.exp(gibbs_kernel(problem))
+    n = problem.shape[0]
+    pq = np.concatenate((problem.p, problem.q))
     theta = 1.0
     L = 2.0 if cfg.eta is None else 1.0 / float(cfg.eta)
     l_floor = 1e-6
     max_doublings = 80
 
-    def marginals(mat: np.ndarray):
-        """Row sums, column sums and objective of ``mat``, each summed once."""
-        r, c = mat.sum(axis=1), mat.sum(axis=0)
-        return r, c, _objective_from_marginals(r, c, p, q)
-
-    def try_step(xc, zc, th, lc):
-        """Backtracked accelerated step; returns (x_new, z_new, L, marginals) or None."""
-        y = (1.0 - th) * xc + th * zc
-        ry, cy = y.sum(axis=1), y.sum(axis=0)
-        if not (ry.all() and cy.all()):
-            return None  # an empty row or column: log(ry / p) is -inf there
-        fy = _objective_from_marginals(ry, cy, p, q)
-        g = np.log(ry / p)[:, None] + np.log(cy / q)[None, :]
+    def try_step(zc, th, lc):
+        """Backtracked accelerated step from x; returns (x_new, z_new, L, penalties) or None."""
+        y = (1.0 - th) * x + th * zc
+        rc_y = _marginals(y)
+        if not rc_y.all():
+            return None  # an empty row or column: log(rc_y / pq) is -inf there
+        fy = _penalties(rc_y, pq, n)[1]
+        g = np.log(rc_y / pq)
         for _ in range(max_doublings):
-            with np.errstate(over="ignore", under="ignore"):
-                z_new = zc * np.exp(-g / (th * lc))
+            # inf * 0 in the outer product is NaN, which the test below rejects
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                f = np.exp(-g / (th * lc))
+                z_new = zc * np.outer(f[:n], f[n:])
             if not np.all(np.isfinite(z_new)) or np.any(z_new <= 0.0):
                 lc *= 2.0
                 continue
-            x_new = (1.0 - th) * xc + th * z_new
-            m_new = marginals(x_new)
-            f_new = m_new[2]
-            bound = fy + float(np.sum(g * (x_new - y))) + lc * float(np.sum(kl_terms(x_new, y)))
+            x_new = (1.0 - th) * x + th * z_new
+            rc_new = _marginals(x_new)
+            m_new = _penalties(rc_new, pq, n)
+            bound = fy + float(g @ (rc_new - rc_y)) + lc * float(np.sum(kl_terms(x_new, y)))
             # slack is relative to the objective scale: an absolute slack
             # would let a too-small L pass once f is tiny, and the collapsed
             # L then makes every later step overshoot
-            if f_new <= bound + 1e-9 * max(fy, f_new):
+            if m_new[1] <= bound + 1e-9 * max(fy, m_new[1]):
                 return x_new, z_new, lc, m_new
             lc *= 2.0
         return None
 
-    mx = marginals(x)  # x's row sums, column sums and objective, replaced with x
-
-    def measure() -> tuple[float, float]:
-        rx, cx, fx = mx
-        return fx, float(np.abs(rx - p).sum() + np.abs(cx - q).sum())
+    mx = _penalties(_marginals(x), pq, n)  # x's penalties, objective and violation
 
     def step(k: int) -> bool:
         nonlocal x, z, mx, theta, L
-        nxt = try_step(x, z, theta, L)
-        if nxt is None:
-            return False
-        x_new, z_new, L, m_new = nxt
-        if m_new[2] > mx[2]:
-            theta, z = 1.0, x.copy()
-            nxt = try_step(x, z, theta, L)
+        for theta, zc in ((theta, z), (1.0, x)):  # the second pass is the restart
+            nxt = try_step(zc, theta, L)
             if nxt is None:
                 return False
             x_new, z_new, L, m_new = nxt
-            if m_new[2] > mx[2]:
-                # numerical floor: hold x and its sums, keep the z progress
-                x_new, m_new = x, mx
+            if m_new[1] <= mx[1]:
+                break
+        else:
+            # numerical floor: hold x and its penalties, keep the z progress
+            x_new, m_new = x, mx
         x, z, mx = x_new, z_new, m_new
         L = max(L / 2.0, l_floor)
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
         return True
 
-    run = _iterate(cfg, callback, measure, step, lambda: x.copy())
+    run = _iterate(cfg, callback, lambda: mx[1:], step, lambda: x.copy())
     return SolveReport(final_iterate=x, **run)
 
 
@@ -519,7 +500,9 @@ def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     x0 = np.exp(gibbs_kernel(problem))
     if not np.all(x0 > 0.0):
         # an underflowed entry is outside the entropy domain, so every step fails
-        run = _iterate(cfg, callback, _Scaling(problem).measure, lambda k: False, lambda: x0)
+        pq = np.concatenate((problem.p, problem.q))
+        measure = lambda: _penalties(_marginals(x0), pq, problem.shape[0])[1:]
+        run = _iterate(cfg, callback, measure, lambda k: False, lambda: x0)
         return SolveReport(final_iterate=x0, **run)
     system = as_constraint_system(problem)
     cb = None

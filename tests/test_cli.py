@@ -111,6 +111,8 @@ class TestFileFormats:
             ("row,col,value\n0,0,1,2\n", "2: expected row,col,value"),
             ("row,col,value\n\n0,0,1\n  \n1,1,oops\n", "5: bad triplet: could not convert string to float: 'oops'"),
             ("row,col,value\n\n", " triplet file has a header but no entries"),
+            # int() reads "1_0", numpy does not: the line comes from numpy's row
+            ("row,col,value\n\n0,0,1\n1,1_0,2\n", "4: bad triplet: could not convert string '1_0' to int64"),
         ],
     )
     def test_malformed_triplets_report_line(self, tmp_path, text, reason):
@@ -122,7 +124,7 @@ class TestFileFormats:
     def test_triplets_the_bulk_parser_rejects_name_the_file(self, tmp_path):
         # int() reads "1_0" as 10, numpy's parser rejects it: still an input error
         path = write(tmp_path / "t.csv", "row,col,value\n1_0,0,1\n")
-        with pytest.raises(CliInputError, match=f"^{re.escape(path)}: bad triplet: "):
+        with pytest.raises(CliInputError, match=f"^{re.escape(path)}:2: bad triplet: "):
             read_system_csv(path)
 
     @pytest.mark.parametrize(
@@ -133,6 +135,7 @@ class TestFileFormats:
             ("1,2\n\n3, oops\n", "3: not a number: could not convert string to float: 'oops'"),
             ("1,,2\n", "1: not a number: could not convert string to float: ''"),
             ("\n \n", " no data rows"),
+            ("1,2\n\n1_000,3\n", "3: not a number: could not convert string '1_000' to float64"),
         ],
     )
     def test_malformed_dense_rows_report_line(self, tmp_path, text, reason):
@@ -148,12 +151,12 @@ class TestFileFormats:
         path = write(tmp_path / "m.csv", f"1,2\n3,{cell}\n")
         vector = write(tmp_path / "v.csv", f"0.5\n{cell}\n")
         for read, source in [(read_matrix_csv, path), (read_system_csv, path), (read_vector_csv, vector)]:
-            with pytest.raises(CliInputError, match=f"^{re.escape(source)}: not a number: "):
+            with pytest.raises(CliInputError, match=f"^{re.escape(source)}:2: not a number: "):
                 read(source)
         p = write(tmp_path / "p.csv", "0.5\n0.5\n")
         code, _, err = run_cli(capsys, "solve", "--cost", path, "--p", p, "--q", p, "--gamma", "1")
         assert code == 1
-        assert err.startswith(f"error: {path}: not a number: ")
+        assert err.startswith(f"error: {path}:2: not a number: ")
 
     def test_system_file_is_opened_once(self, tmp_path, monkeypatch):
         opened = []
@@ -501,6 +504,14 @@ class TestSystemCommand:
         code, _, err = run_cli(capsys, "system", "--matrix", matrix, "--b", b, "--blocks", blocks)
         assert code == 1
         assert err == "error: --blocks: expected a list of lists of row indices\n"
+
+    @pytest.mark.parametrize("entry", ["100000000000000000000", "-100000000000000000000"])
+    def test_blocks_entry_beyond_index_range_exits_1(self, capsys, tmp_path, entry):
+        matrix = write(tmp_path / "a.csv", "1,0\n0,1\n")
+        b = write(tmp_path / "b.csv", "1\n2\n")
+        code, _, err = run_cli(capsys, "system", "--matrix", matrix, "--b", b, "--blocks", f"[[{entry}], [1]]")
+        assert code == 1
+        assert err.startswith("error: blocks must hold integer row indices: ")
 
     def test_negative_b_rejected(self, capsys, tmp_path):
         matrix = write(tmp_path / "a.csv", "1,1\n")

@@ -1,5 +1,7 @@
 """Mirror map, divergences, and log-sum-exp."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
@@ -96,6 +98,17 @@ def test_kl_terms_tiny_ratio_tends_to_y():
     assert kl_div([1e-20], [1.0]) == pytest.approx(1.0, rel=1e-15)
     # x/y itself underflows to zero: the same limit
     assert kl_div([1e-300], [1e300]) == pytest.approx(1e300, rel=1e-15)
+
+
+def test_kl_terms_beyond_double_range_is_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kl_div([1e300], [1e-10]) == np.inf  # x / y overflows
+        assert kl_div([1e300], [1e-8]) == np.inf  # (x / y) log(x / y) overflows
+        assert kl_div([1e308], [1e3]) == np.inf  # y times the bracket overflows
+        terms = kl_terms([1e308, 2.0], [1e-300, 1.0])
+    assert terms[0] == np.inf
+    assert terms[1] == pytest.approx(2.0 * np.log(2.0) - 1.0, rel=1e-15)
 
 
 def test_mirror_map_and_gradients():

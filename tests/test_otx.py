@@ -15,6 +15,7 @@ from pinkhorn import (
     round_to_feasible,
     transport_cost,
 )
+from pinkhorn.kernel import kl_terms
 
 
 def toy_problem(gamma=1.0):
@@ -146,6 +147,9 @@ class TestObjectives:
                 assert ot_objective(prob, plan) == pytest.approx(
                     eval_f(system, plan.reshape(-1)).objective, rel=1e-12, abs=1e-14
                 )
+                # exactly the row part plus the column part, each summed on its own
+                r, c = plan.sum(axis=1), plan.sum(axis=0)
+                assert ot_objective(prob, plan) == np.sum(kl_terms(r, prob.p)) + np.sum(kl_terms(c, prob.q))
 
     def test_marginal_violation(self):
         prob = toy_problem()

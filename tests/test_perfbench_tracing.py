@@ -78,3 +78,32 @@ def test_greenkhorn_measures_penalties_once_per_iteration():
     assert totals["kernel.log_sum_exp"]["calls"] == 0
     # one stacked row-and-column penalty vector per measurement, none for the selection
     assert totals["kernel.kl_terms"]["calls"] + totals["otx.kl_terms"]["calls"] == k + 1
+
+
+def test_acc_pinkhorn_measures_each_objective_with_one_kl_call(monkeypatch):
+    tracing = _load_tracing()
+    evaluations = []
+    penalties = pinkhorn.solvers._penalties
+
+    def counting(*args):
+        evaluations.append(args)
+        return penalties(*args)
+
+    monkeypatch.setattr(pinkhorn.solvers, "_penalties", counting)
+    tracer = tracing.Tracer(pinkhorn)
+    tracer.install()
+    try:
+        rng = np.random.default_rng(46)
+        cost = rng.random((8, 8))
+        problem = pinkhorn.OTProblem(cost=cost, gamma=0.5, p=np.full(8, 1 / 8), q=np.full(8, 1 / 8))
+        cfg = pinkhorn.SolverConfig(method="acc_pinkhorn", tol=1e-8)
+        report = tracer.run_job("acc_pinkhorn", lambda: pinkhorn.solve(problem, cfg))
+    finally:
+        tracer.uninstall()
+    assert report.stop_reason == "converged"
+    totals = tracer.layer_totals()
+    assert tracer.iterations["solvers.acc_pinkhorn"] == report.iterations
+    # the start, then f(y) once per attempted step and f(x_new) once per bound test
+    assert len(evaluations) > report.iterations + 1
+    assert totals["otx.kl_terms"]["calls"] == len(evaluations)
+    assert totals["kernel.log_sum_exp"]["calls"] == 0

@@ -1,5 +1,7 @@
 """KL projections onto hyperplanes and the entropy prox step."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -164,6 +166,15 @@ class TestProjectGeneral:
         h2 = Hyperplane(indices=[0, 1, 2], values=[0.5, 1.5, 3.0], b=1e8)
         z2 = project_general(np.array([1e-4, 2e-4, 3e-4]), h2)
         assert abs(h2.dot(z2) - h2.b) <= 1e-11 * h2.b
+
+    def test_step_far_above_the_root_converges_without_warning(self):
+        # from the start below the root, the first Newton step lands where
+        # the log residual is about 837, beyond the range of expm1
+        h = Hyperplane(indices=[0, 1], values=[0.001, 1.0], b=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = project_general(np.array([1.0, 1e-9]), h)
+        assert abs(h.dot(z) - h.b) <= 1e-11 * h.b
 
     def test_bad_tol_rejected(self):
         h = Hyperplane(indices=[0], values=[2.0], b=1.0)

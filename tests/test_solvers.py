@@ -402,6 +402,15 @@ class TestPinkhorn:
             report.final_iterate, plan_from_potentials(prob, report.potentials)
         )
 
+    def test_overflowing_penalty_ends_numeric_failure_without_warning(self):
+        # here a penalty term leaves the double range before the marginals do
+        prob = random_ot(np.random.default_rng(2), 8, gamma=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pinkhorn(prob, SolverConfig(method="pinkhorn", eta=3.0, max_iter=2000))
+        assert report.stop_reason == "numeric_failure"
+        assert np.all(np.isfinite(report.final_iterate))
+
 
 class TestAccPinkhorn:
     def test_feasible_start_stops_immediately(self):
@@ -420,6 +429,28 @@ class TestAccPinkhorn:
         for prev, nxt in zip(objs, objs[1:]):
             assert nxt <= prev + 1e-12
         assert marginal_violation(prob, report.final_iterate) <= 1e-8
+
+    def test_matches_dense_gradient_reference(self):
+        # the row-and-column step against the dense gradient it replaces:
+        # exp(a + b) and exp(a) exp(b) differ in the last bits only
+        underflowed = OTProblem(cost=[[800.0, 801.0], [0.0, 1.0]], gamma=1.0, p=[0.5, 0.5], q=[0.3, 0.7])
+        cases = [
+            (feasible_start_problem(), SolverConfig(method="acc_pinkhorn")),
+            (random_ot(np.random.default_rng(46), 8, gamma=0.5), SolverConfig(method="acc_pinkhorn", tol=1e-8)),
+            (random_ot(np.random.default_rng(47), 5, gamma=0.1), SolverConfig(method="acc_pinkhorn", eta=1.0, tol=1e-9)),
+            (random_ot(np.random.default_rng(48), 7, gamma=0.05), SolverConfig(method="acc_pinkhorn", max_iter=30)),
+            (random_ot(np.random.default_rng(49), 6), SolverConfig(method="acc_pinkhorn", eta=4.0, tol=1e-10)),
+            (underflowed, SolverConfig(method="acc_pinkhorn")),
+        ]
+        seen = set()
+        for problem, cfg in cases:
+            report = acc_pinkhorn(problem, cfg)
+            plan, iterations, reason, restarts = _dense_acc_pinkhorn(problem, cfg)
+            assert (report.iterations, report.stop_reason) == (iterations, reason)
+            np.testing.assert_allclose(report.final_iterate, plan, rtol=0.0, atol=1e-15)
+            seen.add(reason)
+            seen.add("restarted" if restarts else "no restart")
+        assert seen == {"converged", "max_iter", "numeric_failure", "restarted", "no restart"}
 
     def test_underflowed_row_ends_numeric_failure_without_warning(self):
         # exp(-800) underflows, so row 0 of the start has no mass and the
@@ -575,6 +606,54 @@ def _dense_block_step(x, block, eta):
     for i in NONCONTIG_BLOCKS[block]:
         z = z * (NONCONTIG_B[i] / s[i]) ** (eta * NONCONTIG_A[i])
     return z
+
+
+def _dense_acc_pinkhorn(problem, cfg):
+    """acc_pinkhorn with the dense gradient log(r_i / p_i) + log(c_j / q_j).
+
+    Returns (plan, iterations, stop reason, restarts).
+    """
+    p, q = problem.p, problem.q
+    x = z = np.exp(gibbs_kernel(problem))
+    theta, L = 1.0, 2.0 if cfg.eta is None else 1.0 / cfg.eta
+
+    def f(mat):
+        return np.sum(kl_terms(mat.sum(axis=1), p)) + np.sum(kl_terms(mat.sum(axis=0), q))
+
+    def violation(mat):
+        return np.abs(mat.sum(axis=1) - p).sum() + np.abs(mat.sum(axis=0) - q).sum()
+
+    def try_step(zc, th, lc):
+        y = (1.0 - th) * x + th * zc
+        if not (y.sum(axis=1).all() and y.sum(axis=0).all()):
+            return None
+        g = np.log(y.sum(axis=1) / p)[:, None] + np.log(y.sum(axis=0) / q)[None, :]
+        for _ in range(80):
+            with np.errstate(over="ignore", under="ignore"):
+                z_new = zc * np.exp(-g / (th * lc))
+            if np.all(np.isfinite(z_new)) and np.all(z_new > 0.0):
+                x_new = (1.0 - th) * x + th * z_new
+                bound = f(y) + np.sum(g * (x_new - y)) + lc * np.sum(kl_terms(x_new, y))
+                if f(x_new) <= bound + 1e-9 * max(f(y), f(x_new)):
+                    return x_new, z_new, lc
+            lc *= 2.0
+        return None
+
+    k = restarts = 0
+    while violation(x) > cfg.tol and k < cfg.max_iter:
+        nxt = try_step(z, theta, L)
+        if nxt is not None and f(nxt[0]) > f(x):
+            theta, restarts = 1.0, restarts + 1
+            nxt = try_step(x, theta, nxt[2])  # the restart keeps the L found so far
+            if nxt is not None and f(nxt[0]) > f(x):
+                nxt = (x, *nxt[1:])  # numerical floor: hold x
+        if nxt is None:
+            return x, k, "numeric_failure", restarts
+        x, z, L = nxt
+        L = max(L / 2.0, 1e-6)
+        theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
+        k += 1
+    return x, k, "converged" if violation(x) <= cfg.tol else "max_iter", restarts
 
 
 def _dense_block_choice(sampling, k, x, rng):
