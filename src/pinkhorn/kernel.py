@@ -70,17 +70,23 @@ def kl_terms(x, y) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = x / y
-        t = ratio - 1.0
-        h = ratio * np.log1p(t) - t
+        # h = ratio log1p(t) - t is formed in the ratio buffer (an array even
+        # for 0-d inputs), in the operation order of that expression
+        h = np.divide(x, y, out=np.empty_like(x))
+        t = h - 1.0
+        np.multiply(h, np.log1p(t), out=h)
+        np.subtract(h, t, out=h)
         # h is -inf or NaN only at the two limits, where the term is y |t|:
         # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may
         # even underflow to zero), and y (1 - r + r log r) = y to an ulp;
         # when x/y overflows, t is inf and so is the term
-        h = np.where(h > -np.inf, h, np.abs(t))
+        if not h.min() > -np.inf:
+            np.copyto(h, np.abs(t), where=~(h > -np.inf))
         # each term is mathematically >= 0; shave off negative roundoff.  A
         # term beyond the double range is inf
-        return y * np.maximum(h, 0.0)
+        np.maximum(h, 0.0, out=h)
+        np.multiply(h, y, out=h)
+        return h
 
 
 def kl_div(x, y) -> float:

@@ -67,6 +67,9 @@ class OTProblem:
         for name, m in (("p", p), ("q", q)):
             if abs(m.sum() - 1.0) > _MARGINAL_SUM_TOL:
                 raise ValueError(f"marginal {name} must sum to 1 (got {m.sum()!r})")
+        # -C/gamma, the log kernel every solver starts from, must be finite
+        if not float(np.abs(cost).max()) / gamma < np.inf:
+            raise ValueError(f"max|C| / gamma overflows for gamma {gamma!r}")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "p", p)
@@ -133,8 +136,10 @@ def _penalties(rc, pq, n: int) -> tuple[np.ndarray, float, float]:
     summed per side, rows then columns.
     """
     per = kl_terms(rc, pq)
-    gap = np.abs(rc - pq)
-    return per, float(per[:n].sum() + per[n:].sum()), float(gap[:n].sum() + gap[n:].sum())
+    gap = np.subtract(rc, pq)
+    np.abs(gap, out=gap)
+    add = np.add.reduce
+    return per, float(add(per[:n]) + add(per[n:])), float(add(gap[:n]) + add(gap[n:]))
 
 
 def ot_objective(problem: OTProblem, plan) -> float:

@@ -96,6 +96,7 @@ class ConstraintSystem:
             raise ValueError(f"block {clash[0] // d} has rows with overlapping supports")
 
         self.b = b[self._pos]
+        self._log_b = np.log(b)  # per stored row, for block_update
         self._block_ptr = np.concatenate(([0], np.cumsum(sizes)))
         self._block_of = block_id[self._pos]
 
@@ -157,17 +158,17 @@ class ConstraintSystem:
         """
         p0, p1 = self._block_ptr[block], self._block_ptr[block + 1]
         lo, hi = self._indptr[p0], self._indptr[p1]
-        rows = self._row[p0:p1]
-        row_fac = np.log(self.b[rows]) - np.log(s[rows])
+        row_fac = self._log_b[p0:p1] - np.log(s[self._row[p0:p1]])
         if _work is None:
             _work = np.empty(2 * (hi - lo))
         log_fac, gathered = _work[: hi - lo], _work[hi - lo : 2 * (hi - lo)]
         np.multiply(self._data[lo:hi], eta, out=log_fac)
-        np.multiply(log_fac, np.repeat(row_fac, np.diff(self._indptr[p0 : p1 + 1])), out=log_fac)
+        row_len = self._indptr[p0 + 1 : p1 + 1] - self._indptr[p0:p1]
+        np.multiply(log_fac, row_fac.repeat(row_len), out=log_fac)
         idx = self._indices[lo:hi]
+        x.take(idx, out=gathered)
         z = np.empty_like(x) if _out is None else _out
         np.copyto(z, x)
-        np.take(z, idx, out=gathered)
         with np.errstate(over="ignore", under="ignore"):
             np.exp(log_fac, out=log_fac)
             np.multiply(gathered, log_fac, out=gathered)

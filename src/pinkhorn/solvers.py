@@ -210,12 +210,15 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
     if np.any(s <= 0.0):
         raise ValueError("x0 gives a nonpositive inner product for some constraint")
     per = None  # per-row penalties at x, set by measure()
+    gap = np.empty_like(s)
     selected: list[int] = []
 
     def measure() -> tuple[float, float]:
         nonlocal per
         per = kl_terms(s, system.b)
-        return float(per.sum()), float(np.abs(s - system.b).sum())
+        np.subtract(s, system.b, out=gap)
+        np.abs(gap, out=gap)
+        return float(np.add.reduce(per)), float(np.add.reduce(gap))
 
     def step(k: int) -> bool:
         nonlocal x, z, s
@@ -224,12 +227,12 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         elif cfg.sampling == "uniform":
             block = int(rng.integers(system.n_blocks))
         else:
-            block = int(np.argmax(system.block_sums(per)))
+            block = int(system.block_sums(per).argmax())
         system.block_update(x, s, block, eta, z, work)
-        if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
+        if not (0.0 < z.min() and z.max() < np.inf):
             return False
         s_new = system.dots(z, work)
-        if np.any(s_new <= 0.0):
+        if not s_new.min() > 0.0:
             return False
         x, z, s = z, x, s_new
         selected.append(block)
@@ -263,10 +266,12 @@ class _Scaling:
         self._absorb(np.zeros(self.pq.size))
 
     def _commit(self, w, K, ab, kab) -> bool:
-        """Make this the state unless the plan's marginals overflow."""
+        """Make this the state unless the plan's marginals overflow or all vanish."""
         rc = ab * kab
-        # iteration 0 is exp(-C/gamma) as given, even when it overflows
-        if self.rc is not None and not rc.max() < np.inf:
+        # iteration 0 is exp(-C/gamma) as given, even when it overflows.  A
+        # zero row or column is allowed: an underflowed kernel has them
+        # until the log-domain step
+        if self.rc is not None and not 0.0 < rc.max() < np.inf:
             return False
         self.w, self.K, self.ab, self.kab, self.rc = w, K, ab, kab, rc
         return True
@@ -295,20 +300,22 @@ class _Scaling:
         domain.
         """
         n = self.n
+        single = not isinstance(at, slice)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if eta == 1.0:
                 new = self.pq[at] / self.kab[at]
             else:
                 new = self.ab[at] * (self.pq[at] / self.rc[at]) ** eta
-            if not (1.0 / _SCALING_RANGE <= new.min() and new.max() <= _SCALING_RANGE):
-                if 0.0 < new.min() and new.max() < np.inf:
+            lo, hi = (new, new) if single else (new.min(), new.max())
+            if not (1.0 / _SCALING_RANGE <= lo and hi <= _SCALING_RANGE):
+                if 0.0 < lo and hi < np.inf:
                     ab = self.ab.copy()
                     ab[at] = new
                     return self._absorb(self.w + np.log(ab))
                 return self._log_step(at, eta)
             ab, kab = self.ab.copy(), self.kab.copy()
             ab[at] = new
-            if isinstance(at, slice):
+            if not single:
                 if at.start < n:
                     np.matmul(self.K.T, ab[:n], out=kab[n:])
                 if at.stop > n:
@@ -378,7 +385,7 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
     selected: list[int] = []
 
     def step(k: int) -> bool:
-        i = int(np.argmax(st.penalties))
+        i = int(st.penalties.argmax())
         if not st.scale(i):
             return False
         if k % 500 == 0 or st.kab.min() < 0.0:
@@ -433,7 +440,11 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
 
     def try_step(zc, th, lc):
         """Backtracked accelerated step from x; returns (x_new, z_new, L, penalties) or None."""
-        y = (1.0 - th) * x + th * zc
+        # sums and products below commute with the expressions they stand
+        # for, (1 - th) x + th z and z * outer(...), so the bits are theirs
+        x_part = (1.0 - th) * x
+        y = th * zc
+        y += x_part
         rc_y = _marginals(y)
         if not rc_y.all():
             return None  # an empty row or column: log(rc_y / pq) is -inf there
@@ -443,11 +454,13 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             # inf * 0 in the outer product is NaN, which the test below rejects
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 f = np.exp(-g / (th * lc))
-                z_new = zc * np.outer(f[:n], f[n:])
-            if not np.all(np.isfinite(z_new)) or np.any(z_new <= 0.0):
+                z_new = np.outer(f[:n], f[n:])
+                z_new *= zc
+            if not (0.0 < z_new.min() and z_new.max() < np.inf):
                 lc *= 2.0
                 continue
-            x_new = (1.0 - th) * x + th * z_new
+            x_new = th * z_new
+            x_new += x_part
             rc_new = _marginals(x_new)
             m_new = _penalties(rc_new, pq, n)
             bound = fy + float(g @ (rc_new - rc_y)) + lc * float(np.sum(kl_terms(x_new, y)))

@@ -111,6 +111,66 @@ def test_kl_terms_beyond_double_range_is_inf_without_warning():
     assert terms[1] == pytest.approx(2.0 * np.log(2.0) - 1.0, rel=1e-15)
 
 
+def _kl_terms_reference(x, y):
+    """The out-of-place expression ``kl_terms`` evaluates in its ratio buffer."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = x / y
+        t = ratio - 1.0
+        h = ratio * np.log1p(t) - t
+        h = np.where(h > -np.inf, h, np.abs(t))
+        return y * np.maximum(h, 0.0)
+
+
+def _kl_terms_cases():
+    """(x, y) pairs of one length: random values, near-equal pairs and the limits."""
+    rng = np.random.default_rng(3)
+    y = np.exp(rng.uniform(-30.0, 30.0, 64))
+    x = y * np.exp(rng.uniform(-5.0, 5.0, 64))  # random ratios
+    x[8:24] = y[8:24] * (1.0 + rng.uniform(-1e-12, 1e-12, 16))  # near-equal pairs
+    x[24:32] = y[24:32] * np.array([2.0**-55, 1e-17, 1e-20, 1e-100, 1e-200, 1e-250, 2.0**-60, 3e-17])
+    x[32], y[32] = 1e-300, 1e300  # x / y underflows to 0
+    x[33], y[33] = 5e-324, 1.0
+    x[34], y[34] = 1e300, 1e-10  # x / y overflows
+    x[35], y[35] = 1e300, 1e-8  # (x / y) log(x / y) overflows
+    x[36], y[36] = 1e308, 1e3  # y times the bracket overflows
+    x[37] = y[37]  # exactly equal
+    return x, y
+
+
+def _assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64,), (8, 8), (4, 16)])
+def test_kl_terms_equals_reference_bit_for_bit(shape):
+    x, y = (a.reshape(shape) for a in _kl_terms_cases())
+    x_before, y_before = x.copy(), y.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kl_terms(x, y)
+    _assert_same_bits(got, _kl_terms_reference(x_before, y_before))
+    # the caller's arrays are read, never written
+    _assert_same_bits(x, x_before)
+    _assert_same_bits(y, y_before)
+
+
+def test_kl_terms_on_0d_inputs_equals_reference_bit_for_bit():
+    # eval_fi passes a float and one entry of b
+    x, y = _kl_terms_cases()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi, yi in zip(x, y):
+            for args in ((float(xi), yi), (np.asarray(xi), np.asarray(yi))):
+                got = kl_terms(*args)
+                assert np.ndim(got) == 0
+                _assert_same_bits(got, _kl_terms_reference(xi, yi))
+
+
 def test_mirror_map_and_gradients():
     # 1 * (log 1 - 1) + e * (log e - 1) = -1 + 0
     x = np.array([1.0, np.e])

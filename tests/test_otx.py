@@ -50,6 +50,7 @@ class TestOTProblem:
             dict(cost=[[0.0, 1.0], [1.0, 0.0]], gamma=1.0, p=[0.4, 0.5], q=[0.5, 0.5]),
             dict(cost=[[0.0, 1.0], [1.0, 0.0]], gamma=1.0, p=[1.0, 0.0], q=[0.5, 0.5]),
             dict(cost=[[0.0, 1.0], [1.0, 0.0]], gamma=1.0, p=[0.5, 0.5], q=[0.3, 0.3, 0.4]),
+            dict(cost=[[1.0, 2.0], [3.0, 0.5]], gamma=1e-320, p=[0.5, 0.5], q=[0.5, 0.5]),
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -412,6 +412,20 @@ class TestPinkhorn:
         assert np.all(np.isfinite(report.final_iterate))
 
 
+    @pytest.mark.parametrize("seed, eta", [(0, 2.0), (0, 3.0), (2, 3.0)])
+    def test_divergent_stepsize_keeps_a_plan_with_mass(self, seed, eta):
+        # the oscillating potentials can also drive every marginal to 0 (on
+        # these instances the plan underflowed to all zeros): the run must
+        # end at the last iterate that still carries mass
+        prob = random_ot(np.random.default_rng(seed), 8, gamma=0.1)
+        report = pinkhorn(prob, SolverConfig(method="pinkhorn", eta=eta, max_iter=2000))
+        assert report.stop_reason == "numeric_failure"
+        assert report.final_iterate.sum() > 0.0
+        np.testing.assert_array_equal(
+            report.final_iterate, plan_from_potentials(prob, report.potentials)
+        )
+
+
 class TestAccPinkhorn:
     def test_feasible_start_stops_immediately(self):
         report = acc_pinkhorn(feasible_start_problem(), SolverConfig(method="acc_pinkhorn"))
