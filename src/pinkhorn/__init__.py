@@ -6,118 +6,23 @@ map and divergences, ``projection`` the closed-form Bregman projections,
 ``penalty`` the constraint systems and objective, ``solvers`` the five
 iterative methods, ``otx`` the optimal transport layer, ``oracle`` the
 independent references, and ``cli`` the command line front end.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.  ``cli`` is not imported here, so that
+``import pinkhorn`` does not load its argparse, json and re.
 """
 
-from .kernel import (
-    as_positive_matrix,
-    as_positive_vector,
-    bregman_div,
-    grad_conjugate,
-    grad_mirror,
-    kl_div,
-    log_sum_exp,
-    mirror_map,
-)
-from .projection import (
-    ConvergenceError,
-    Hyperplane,
-    bregman_prox_entropy_linear,
-    project_binary,
-    project_general,
-)
-from .penalty import (
-    ConstraintSystem,
-    Residual,
-    eval_f,
-    eval_fi,
-    grad_fi,
-    rel_smooth_constant,
-)
-from .otx import (
-    OTProblem,
-    Potentials,
-    as_constraint_system,
-    gibbs_kernel,
-    marginal_violation,
-    ot_objective,
-    plan_from_potentials,
-    round_to_feasible,
-    transport_cost,
-)
-from .solvers import (
-    METHODS,
-    SAMPLINGS,
-    SolveReport,
-    SolverConfig,
-    TraceEntry,
-    acc_pinkhorn,
-    greenkhorn,
-    pinkhorn,
-    sinkhorn,
-    smd_step,
-    solve,
-    solve_smd,
-    stop_check,
-)
-from .oracle import (
-    OracleConfig,
-    analytic_symmetric_2x2,
-    fd_gradient,
-    prox_1d_numeric,
-    reference_solve,
-)
-from .checks import CheckResult, run_checks
+from . import kernel, projection, penalty, otx, solvers, oracle, checks
+from .kernel import *  # noqa: F401,F403
+from .projection import *  # noqa: F401,F403
+from .penalty import *  # noqa: F401,F403
+from .otx import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .checks import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "as_positive_matrix",
-    "as_positive_vector",
-    "bregman_div",
-    "grad_conjugate",
-    "grad_mirror",
-    "kl_div",
-    "log_sum_exp",
-    "mirror_map",
-    "ConvergenceError",
-    "Hyperplane",
-    "bregman_prox_entropy_linear",
-    "project_binary",
-    "project_general",
-    "ConstraintSystem",
-    "Residual",
-    "eval_f",
-    "eval_fi",
-    "grad_fi",
-    "rel_smooth_constant",
-    "OTProblem",
-    "Potentials",
-    "as_constraint_system",
-    "gibbs_kernel",
-    "marginal_violation",
-    "ot_objective",
-    "plan_from_potentials",
-    "round_to_feasible",
-    "transport_cost",
-    "METHODS",
-    "SAMPLINGS",
-    "SolveReport",
-    "SolverConfig",
-    "TraceEntry",
-    "acc_pinkhorn",
-    "greenkhorn",
-    "pinkhorn",
-    "sinkhorn",
-    "smd_step",
-    "solve",
-    "solve_smd",
-    "stop_check",
-    "OracleConfig",
-    "analytic_symmetric_2x2",
-    "fd_gradient",
-    "prox_1d_numeric",
-    "reference_solve",
-    "CheckResult",
-    "run_checks",
+__all__ = ["__version__"] + [
+    name for module in (kernel, projection, penalty, otx, solvers, oracle, checks) for name in module.__all__
 ]

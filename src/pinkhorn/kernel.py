@@ -65,7 +65,8 @@ def kl_terms(x, y) -> np.ndarray:
     ulps of y (each term is O(y) while the difference is O((x-y)^2/y)), so
     this evaluates y * ((1+t) log1p(t) - t) with t = x/y - 1 instead.
     Callers feeding greedy selection and descent checks rely on tiny terms
-    staying resolvable.  Inputs must be positive arrays of matching shape.
+    staying resolvable.  Inputs must be nonnegative arrays of matching
+    shape; a term with x = y = 0 is 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -79,9 +80,10 @@ def kl_terms(x, y) -> np.ndarray:
         # h is -inf or NaN only at the two limits, where the term is y |t|:
         # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may
         # even underflow to zero), and y (1 - r + r log r) = y to an ulp;
-        # when x/y overflows, t is inf and so is the term
+        # when x/y overflows, t is inf and so is the term.  At x = y = 0,
+        # 0/0 is NaN and the term is 0 (0 log 0 = 0)
         if not h.min() > -np.inf:
-            np.copyto(h, np.abs(t), where=~(h > -np.inf))
+            np.copyto(h, np.where(x == y, 0.0, np.abs(t)), where=~(h > -np.inf))
         # each term is mathematically >= 0; shave off negative roundoff.  A
         # term beyond the double range is inf
         np.maximum(h, 0.0, out=h)

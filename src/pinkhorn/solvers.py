@@ -451,12 +451,13 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         fy = _penalties(rc_y, pq, n)[1]
         g = np.log(rc_y / pq)
         for _ in range(max_doublings):
-            # inf * 0 in the outer product is NaN, which the test below rejects
+            # zero entries of z stay zero; inf * 0 in the outer product is
+            # NaN, which the test below rejects with the overflows
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 f = np.exp(-g / (th * lc))
                 z_new = np.outer(f[:n], f[n:])
                 z_new *= zc
-            if not (0.0 < z_new.min() and z_new.max() < np.inf):
+            if not z_new.max() < np.inf:
                 lc *= 2.0
                 continue
             x_new = th * z_new

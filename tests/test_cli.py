@@ -411,6 +411,16 @@ class TestSolveCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, message", [("--tol", "tol must be positive"), ("--max-iter", "max_iter must be >= 1")]
+    )
+    def test_bad_solver_config_exits_1(self, ot_files, capsys, flag, message):
+        code, out, err = run_cli(
+            capsys, "solve", "--cost", ot_files["cost"], "--p", ot_files["p"],
+            "--q", ot_files["q"], "--gamma", "1", flag, "0",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestSystemCommand:
     def test_dense_system_default_start(self, capsys, tmp_path):
@@ -550,6 +560,8 @@ class TestBenchCommand:
         )
         assert code == 1
         assert "unknown method" in err
+        code, out, err = run_cli(capsys, "bench", "--n", "3", "--count", "1", "--methods", ",")
+        assert (code, out, err) == (1, "", "error: --methods is empty\n")
 
 
 class TestCheckCommand:

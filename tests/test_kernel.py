@@ -111,6 +111,17 @@ def test_kl_terms_beyond_double_range_is_inf_without_warning():
     assert terms[1] == pytest.approx(2.0 * np.log(2.0) - 1.0, rel=1e-15)
 
 
+def test_kl_terms_of_zero_against_zero_is_zero():
+    # 0 log 0 = 0: acc_pinkhorn's bound meets (0, 0) pairs where the kernel
+    # underflows.  NaN inputs still give NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kl_terms(0.0, 0.0) == 0.0
+        np.testing.assert_array_equal(kl_terms([0.0, 0.0, 1.0], [0.0, 2.0, 1.0]), [0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(kl_terms(np.zeros((2, 3)), np.zeros((2, 3))), np.zeros((2, 3)))
+        assert np.isnan(kl_terms(np.nan, 1.0))
+
+
 def _kl_terms_reference(x, y):
     """The out-of-place expression ``kl_terms`` evaluates in its ratio buffer."""
     x = np.asarray(x, dtype=np.float64)

@@ -466,6 +466,41 @@ class TestAccPinkhorn:
             seen.add("restarted" if restarts else "no restart")
         assert seen == {"converged", "max_iter", "numeric_failure", "restarted", "no restart"}
 
+    def test_zero_kernel_entries_with_mass_in_every_row_and_column(self):
+        # exp(-1000) underflows off the two diagonal blocks, yet every row and
+        # column keeps mass on its block; sinkhorn converges here in 24 steps
+        cost = np.full((4, 4), 1000.0)
+        cost[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        cost[2:, 2:] = [[0.0, 2.0], [1.0, 0.0]]
+        prob = OTProblem(cost=cost, gamma=1.0, p=[0.2, 0.3, 0.1, 0.4], q=[0.25, 0.25, 0.3, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", tol=1e-9))
+        assert report.stop_reason == "converged"
+        assert marginal_violation(prob, report.final_iterate) <= 1e-9
+        # the zero entries of the kernel stay zero
+        np.testing.assert_array_equal(report.final_iterate[:2, 2:], 0.0)
+        np.testing.assert_array_equal(report.final_iterate[2:, :2], 0.0)
+
+    def test_numerical_floor_holds_x(self):
+        # at tol 1e-15 neither the step nor its restart lowers the objective
+        # from iteration 114 on, so every later step keeps x and its penalties
+        prob = random_ot(np.random.default_rng(1), 6, gamma=0.05)
+        iterates = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = acc_pinkhorn(
+                prob,
+                SolverConfig(method="acc_pinkhorn", tol=1e-15, max_iter=300),
+                callback=lambda k, x: iterates.__setitem__(k, x.copy()),
+            )
+        held = [k for k in range(1, 301) if np.array_equal(iterates[k], iterates[k - 1])]
+        assert held == list(range(114, 301))
+        objs = [e.objective for e in report.trace]
+        assert all(nxt <= prev for prev, nxt in zip(objs, objs[1:]))
+        assert report.stop_reason == "max_iter"
+        assert report.trace[-1].violation_l1 == pytest.approx(1.5e-15, rel=0.01)
+
     def test_underflowed_row_ends_numeric_failure_without_warning(self):
         # exp(-800) underflows, so row 0 of the start has no mass and the
         # gradient log(r / p) is undefined there
