@@ -2,9 +2,7 @@
 
 Each check draws fresh seeded instances, compares a library computation
 against an independent reference (finite differences, the numeric prox
-oracle, exact identities), and reports one pass/fail row.  ``tol_scale``
-multiplies every tolerance; it exists so the command's failure path can be
-exercised deliberately.
+oracle, exact identities), and reports one pass/fail row.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ def _random_row(rng, d: int, binary: bool) -> Hyperplane:
     return Hyperplane(indices=idx, values=vals, b=float(rng.uniform(0.5, 3.0)))
 
 
-def _check_mirror_duality(rng, tol_scale: float) -> CheckResult:
-    tol = 1e-12 * tol_scale
+def _check_mirror_duality(rng) -> CheckResult:
+    tol = 1e-12
     worst = 0.0
     for _ in range(50):
         x = rng.uniform(1e-3, 50.0, int(rng.integers(1, 12)))
@@ -64,8 +62,8 @@ def _check_mirror_duality(rng, tol_scale: float) -> CheckResult:
     )
 
 
-def _check_gradients(rng, tol_scale: float) -> CheckResult:
-    tol = 1e-5 * tol_scale
+def _check_gradients(rng) -> CheckResult:
+    tol = 1e-5
     worst = 0.0
     for _ in range(20):
         d = int(rng.integers(3, 9))
@@ -84,9 +82,9 @@ def _check_gradients(rng, tol_scale: float) -> CheckResult:
     )
 
 
-def _check_projections(rng, tol_scale: float) -> CheckResult:
-    feas_tol = 1e-12 * tol_scale
-    pyth_tol = 1e-9 * tol_scale
+def _check_projections(rng) -> CheckResult:
+    feas_tol = 1e-12
+    pyth_tol = 1e-9
     worst_feas = worst_idem = worst_pyth = worst_red = 0.0
     for _ in range(300):
         d = int(rng.integers(3, 10))
@@ -128,8 +126,8 @@ def _check_projections(rng, tol_scale: float) -> CheckResult:
     )
 
 
-def _check_equivalence(rng, tol_scale: float) -> CheckResult:
-    tol = 1e-10 * tol_scale
+def _check_equivalence(rng) -> CheckResult:
+    tol = 1e-10
     iters = 60
     worst = 0.0
     for _ in range(3):
@@ -149,8 +147,8 @@ def _check_equivalence(rng, tol_scale: float) -> CheckResult:
     )
 
 
-def _check_pinkhorn_descent(rng, tol_scale: float) -> CheckResult:
-    tol = 1e-12 * tol_scale
+def _check_pinkhorn_descent(rng) -> CheckResult:
+    tol = 1e-12
     worst = -np.inf
     for _ in range(3):
         problem = _random_problem(rng, 10)
@@ -164,8 +162,8 @@ def _check_pinkhorn_descent(rng, tol_scale: float) -> CheckResult:
     )
 
 
-def _check_prox(rng, tol_scale: float) -> CheckResult:
-    tol = 1e-8 * tol_scale
+def _check_prox(rng) -> CheckResult:
+    tol = 1e-8
     worst = 0.0
     for _ in range(200):
         x = float(np.exp(rng.uniform(-2.0, 2.0)))
@@ -181,16 +179,14 @@ def _check_prox(rng, tol_scale: float) -> CheckResult:
     )
 
 
-def run_checks(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+def run_checks(seed: int = 0) -> list[CheckResult]:
     """Run the full invariant suite; order and names are stable."""
-    if not tol_scale > 0.0:
-        raise ValueError("tol_scale must be positive")
     rng = np.random.default_rng(seed)
     return [
-        _check_mirror_duality(rng, tol_scale),
-        _check_gradients(rng, tol_scale),
-        _check_projections(rng, tol_scale),
-        _check_equivalence(rng, tol_scale),
-        _check_pinkhorn_descent(rng, tol_scale),
-        _check_prox(rng, tol_scale),
+        _check_mirror_duality(rng),
+        _check_gradients(rng),
+        _check_projections(rng),
+        _check_equivalence(rng),
+        _check_pinkhorn_descent(rng),
+        _check_prox(rng),
     ]

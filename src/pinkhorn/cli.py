@@ -19,7 +19,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .checks import run_checks
+from .checks import _random_problem, run_checks
 from .otx import OTProblem, round_to_feasible, transport_cost
 from .penalty import ConstraintSystem
 from .solvers import METHODS, SAMPLINGS, SolverConfig, solve, solve_smd
@@ -192,7 +192,7 @@ def _solver_config(args, method: str | None = None) -> SolverConfig:
         return SolverConfig(
             method=method if method is not None else args.method,
             eta=args.eta,
-            sampling=getattr(args, "sampling", "cyclic"),
+            sampling=args.sampling,
             tol=args.tol,
             max_iter=args.max_iter,
             seed=args.seed,
@@ -274,10 +274,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     lines = ["instance,method,iterations,final_violation,time_ms"]
     for instance in range(args.count):
-        cost = rng.random((args.n, args.n))
-        p = rng.uniform(0.5, 1.5, args.n)
-        q = rng.uniform(0.5, 1.5, args.n)
-        problem = OTProblem(cost=cost, gamma=args.gamma, p=p / p.sum(), q=q / q.sum())
+        problem = _random_problem(rng, args.n, gamma=args.gamma)
         for method in methods:
             cfg = _solver_config(args, method=method)
             report = solve(problem, cfg)
@@ -296,7 +293,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_checks(seed=args.seed, tol_scale=args.tol_scale)
+    results = run_checks(seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -365,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("check", help="run the oracle-backed invariant suite")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol-scale", type=float, default=1.0, help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_check)
     return parser
 

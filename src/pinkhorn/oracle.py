@@ -9,8 +9,6 @@ none of it shares code paths with the quantities it validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernel import as_positive_vector
@@ -18,37 +16,24 @@ from .penalty import ConstraintSystem
 from .projection import ConvergenceError, project_binary, project_general
 
 __all__ = [
-    "OracleConfig",
     "fd_gradient",
     "reference_solve",
     "prox_1d_numeric",
     "analytic_symmetric_2x2",
 ]
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    fd_step: float = 1e-6
-    ref_tol: float = 1e-13
-    ref_max_iter: int = 1_000_000
-
-    def __post_init__(self):
-        if not self.fd_step > 0.0:
-            raise ValueError("fd_step must be positive")
-        if not self.ref_tol > 0.0:
-            raise ValueError("ref_tol must be positive")
-        if self.ref_max_iter < 1:
-            raise ValueError("ref_max_iter must be >= 1")
+_FD_STEP = 1e-6  # central-difference step, relative to each coordinate
+_REF_TOL = 1e-13  # l1 violation at which reference_solve stops
+_REF_MAX_PROJECTIONS = 1_000_000  # single-row projections reference_solve may use
+_PROX_TOL = 1e-10  # width at which prox_1d_numeric's golden-section search stops
 
 
-def fd_gradient(field, x, cfg: OracleConfig | None = None) -> np.ndarray:
+def fd_gradient(field, x) -> np.ndarray:
     """Central-difference gradient of a scalar field with per-coordinate relative step."""
-    if cfg is None:
-        cfg = OracleConfig()
     x = as_positive_vector(x)
     grad = np.empty(x.size)
     for i in range(x.size):
-        h = cfg.fd_step * x[i]
+        h = _FD_STEP * x[i]
         hi = x.copy()
         lo = x.copy()
         hi[i] += h
@@ -57,26 +42,25 @@ def fd_gradient(field, x, cfg: OracleConfig | None = None) -> np.ndarray:
     return grad
 
 
-def reference_solve(system: ConstraintSystem, x0, cfg: OracleConfig | None = None) -> np.ndarray:
+def reference_solve(system: ConstraintSystem, x0) -> np.ndarray:
     """High-precision feasible point by cyclic exact projections onto each row.
 
     Sweeps the constraints in index order, applying the closed-form
     projection for 0/1 rows and the root-found projection otherwise, until
-    the l1 violation drops to ``ref_tol``.  The system must be feasible;
-    exceeding ``ref_max_iter`` single projections raises ConvergenceError.
+    the l1 violation drops to ``_REF_TOL``.  The system must be feasible;
+    exceeding ``_REF_MAX_PROJECTIONS`` single projections raises
+    ConvergenceError.
     """
-    if cfg is None:
-        cfg = OracleConfig()
     x = as_positive_vector(x0)
     if x.size != system.dimension:
         raise ValueError(f"x0 has length {x.size}, expected {system.dimension}")
     done = 0
     while True:
         for i, row in enumerate(system.rows):
-            if done >= cfg.ref_max_iter:
+            if done >= _REF_MAX_PROJECTIONS:
                 raise ConvergenceError(
-                    f"reference solve used {cfg.ref_max_iter} projections "
-                    f"without reaching violation {cfg.ref_tol}"
+                    f"reference solve used {_REF_MAX_PROJECTIONS} projections "
+                    f"without reaching violation {_REF_TOL}"
                 )
             if row.is_binary:
                 x = project_binary(x, row)
@@ -84,11 +68,11 @@ def reference_solve(system: ConstraintSystem, x0, cfg: OracleConfig | None = Non
                 x = project_general(x, row, tol=1e-13)
             done += 1
             viol = float(np.abs(system.dots(x) - system.b).sum())
-            if viol <= cfg.ref_tol:
+            if viol <= _REF_TOL:
                 return x
 
 
-def prox_1d_numeric(x: float, c: float, eta: float, tol: float = 1e-10) -> float:
+def prox_1d_numeric(x: float, c: float, eta: float) -> float:
     """Scalar entropic prox by golden-section search, no closed form involved.
 
     Minimizes eta*(z log z - c z) + z log(z/x) - z + x for z > 0.  The
@@ -125,7 +109,7 @@ def prox_1d_numeric(x: float, c: float, eta: float, tol: float = 1e-10) -> float
     m1 = b - invphi * (b - a)
     m2 = a + invphi * (b - a)
     f1, f2 = phi(m1), phi(m2)
-    while b - a > tol:
+    while b - a > _PROX_TOL:
         if f1 <= f2:
             b, m2, f2 = m2, m1, f1
             m1 = b - invphi * (b - a)

@@ -139,41 +139,30 @@ class ConstraintSystem:
         return np.bincount(self._block_of, weights=v, minlength=self.n_blocks)
 
     def block_update(
-        self,
-        x: np.ndarray,
-        s: np.ndarray,
-        block: int,
-        eta: float,
-        _out: np.ndarray | None = None,
-        _work: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Multiplicative block update z_j = x_j * prod_i (b_i/s_i)^(eta a_ij).
+        self, x: np.ndarray, s: np.ndarray, block: int, eta: float, out: np.ndarray, work: np.ndarray
+    ) -> None:
+        """Multiplicative block update z_j = x_j * prod_i (b_i/s_i)^(eta a_ij), into ``out``.
 
         ``s`` holds the inner products at x; gradients of every row in the
         block are taken at the same x, and disjoint supports keep the row
-        factors independent.  ``_out`` (the result, not ``x`` itself) and
-        ``_work`` (a ``_workspace()`` buffer) are internal: with both given,
-        the one array the update allocates is the row factors repeated over
-        the block's entries.
+        factors independent.  ``out`` is not ``x`` itself, and ``work`` is a
+        ``_workspace()`` buffer, so the one array the update allocates is the
+        row factors repeated over the block's entries.
         """
         p0, p1 = self._block_ptr[block], self._block_ptr[block + 1]
         lo, hi = self._indptr[p0], self._indptr[p1]
         row_fac = self._log_b[p0:p1] - np.log(s[self._row[p0:p1]])
-        if _work is None:
-            _work = np.empty(2 * (hi - lo))
-        log_fac, gathered = _work[: hi - lo], _work[hi - lo : 2 * (hi - lo)]
+        log_fac, gathered = work[: hi - lo], work[hi - lo : 2 * (hi - lo)]
         np.multiply(self._data[lo:hi], eta, out=log_fac)
         row_len = self._indptr[p0 + 1 : p1 + 1] - self._indptr[p0:p1]
         np.multiply(log_fac, row_fac.repeat(row_len), out=log_fac)
         idx = self._indices[lo:hi]
         x.take(idx, out=gathered)
-        z = np.empty_like(x) if _out is None else _out
-        np.copyto(z, x)
+        np.copyto(out, x)
         with np.errstate(over="ignore", under="ignore"):
             np.exp(log_fac, out=log_fac)
             np.multiply(gathered, log_fac, out=gathered)
-        z[idx] = gathered
-        return z
+        out[idx] = gathered
 
     def block_smooth_constant(self, k: int) -> float:
         """Relative-smoothness constant of one block's summed penalty.

@@ -80,11 +80,6 @@ class Hyperplane:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "is_binary", bool(np.all(val == 1.0)))
 
-    @classmethod
-    def from_dense(cls, a, b: float) -> "Hyperplane":
-        """Build a row from a dense coefficient vector, keeping its nonzeros."""
-        return cls(indices=np.arange(np.size(a)), values=a, b=b)
-
     @property
     def support_size(self) -> int:
         return int(self.indices.size)

@@ -46,7 +46,6 @@ __all__ = [
     "TraceEntry",
     "SolveReport",
     "stop_check",
-    "smd_step",
     "solve_smd",
     "sinkhorn",
     "greenkhorn",
@@ -128,30 +127,6 @@ def stop_check(trace, cfg: SolverConfig) -> str | None:
     if last.iteration >= cfg.max_iter:
         return "max_iter"
     return None
-
-
-def smd_step(system: ConstraintSystem, x, block: int, eta: float) -> np.ndarray:
-    """One mirror step on the summed penalty of a block.
-
-    Equals grad_conjugate(grad_mirror(x) - eta * sum of block gradients);
-    for eta 1 and 0/1 rows this is the exact KL projection onto each row of
-    the block.
-    """
-    x = as_positive_vector(x)
-    if x.size != system.dimension:
-        raise ValueError(f"iterate has length {x.size}, expected {system.dimension}")
-    if not 0 <= block < system.n_blocks:
-        raise IndexError(f"block {block} out of range for {system.n_blocks} blocks")
-    eta = float(eta)
-    if not np.isfinite(eta) or eta < 0.0:
-        raise ValueError("eta must be finite and >= 0")
-    s = system.dots(x)
-    if np.any(s[system.blocks[block]] <= 0.0):
-        raise ValueError("a block constraint has a nonpositive inner product")
-    z = system.block_update(x, s, block, eta)
-    if not np.all(np.isfinite(z)):
-        raise OverflowError("mirror step overflowed")
-    return z
 
 
 def _iterate(cfg: SolverConfig, callback, measure, step, current) -> dict:

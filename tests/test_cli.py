@@ -491,6 +491,14 @@ class TestSystemCommand:
             capsys, "system", "--matrix", matrix, "--b", b1, "--x0", x0_bad
         )
         assert code == 1
+        # 0.5 * 5e-324 rounds to 0, so row 0's inner product at x0 is 0
+        halves = write(tmp_path / "h.csv", "0.5,0.5,0\n0,0.5,0.5\n")
+        ones = write(tmp_path / "ones.csv", "1\n1\n")
+        x0_tiny = write(tmp_path / "x0_tiny.csv", "5e-324\n5e-324\n1\n")
+        code, out, err = run_cli(capsys, "system", "--matrix", halves, "--b", ones, "--x0", x0_tiny)
+        assert code == 1
+        assert out == ""
+        assert err == "error: x0 gives a nonpositive inner product for some constraint\n"
 
     def test_dense_and_triplet_files_give_the_same_run(self, capsys, tmp_path):
         dense = write(tmp_path / "a.csv", "1,0,2\n0,0.5,0\n0,0,0.25\n")
@@ -572,8 +580,10 @@ class TestCheckCommand:
         assert lines[-1] == "6/6 checks passed"
         assert sum("PASS" in line for line in lines) == 6
 
-    def test_scaled_tolerances_fail(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "--tol-scale", "1e-30")
+    def test_a_failing_check_exits_1(self, capsys, monkeypatch):
+        failed = pinkhorn.CheckResult("prox_closed_form", False, "forced")
+        monkeypatch.setattr(pinkhorn.checks, "_check_prox", lambda rng: failed)
+        code, out, _ = run_cli(capsys, "check")
         assert code == 1
         assert "FAIL" in out
 

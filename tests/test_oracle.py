@@ -8,7 +8,6 @@ from pinkhorn import (
     ConstraintSystem,
     ConvergenceError,
     Hyperplane,
-    OracleConfig,
     analytic_symmetric_2x2,
     bregman_prox_entropy_linear,
     eval_f,
@@ -16,22 +15,7 @@ from pinkhorn import (
     prox_1d_numeric,
     reference_solve,
 )
-
-
-class TestOracleConfig:
-    def test_defaults(self):
-        cfg = OracleConfig()
-        assert cfg.fd_step == 1e-6
-        assert cfg.ref_tol == 1e-13
-        assert cfg.ref_max_iter == 1_000_000
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(fd_step=0.0), dict(ref_tol=-1e-13), dict(ref_max_iter=0)],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            OracleConfig(**kwargs)
+from pinkhorn import oracle
 
 
 class TestFdGradient:
@@ -107,10 +91,11 @@ class TestReferenceSolve:
         x = reference_solve(sys_, [0.4, 0.8, 1.2])
         assert eval_f(sys_, x).l1_violation <= 1e-13
 
-    def test_projection_budget_enforced(self):
+    def test_projection_budget_enforced(self, monkeypatch):
         sys_ = self.toy()
+        monkeypatch.setattr(oracle, "_REF_MAX_PROJECTIONS", 2)
         with pytest.raises(ConvergenceError):
-            reference_solve(sys_, [1.0, 3.0, 5.0], OracleConfig(ref_max_iter=2))
+            reference_solve(sys_, [1.0, 3.0, 5.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

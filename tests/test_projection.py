@@ -49,7 +49,7 @@ class TestHyperplane:
         assert not Hyperplane(indices=[0, 3], values=[1.0, 2.0], b=2.0).is_binary
 
     def test_from_dense(self):
-        h = Hyperplane.from_dense([0.0, 2.0, 0.0, 1.0], b=3.0)
+        h = Hyperplane(indices=np.arange(4), values=[0.0, 2.0, 0.0, 1.0], b=3.0)
         np.testing.assert_array_equal(h.indices, [1, 3])
         np.testing.assert_array_equal(h.values, [2.0, 1.0])
         assert h.dot(np.array([9.0, 1.0, 9.0, 4.0])) == pytest.approx(6.0)

@@ -12,6 +12,7 @@ from pinkhorn import (
     SolverConfig,
     TraceEntry,
     acc_pinkhorn,
+    as_constraint_system,
     bregman_div,
     eval_f,
     gibbs_kernel,
@@ -24,12 +25,12 @@ from pinkhorn import (
     plan_from_potentials,
     reference_solve,
     sinkhorn,
-    smd_step,
     solve,
     solve_smd,
     stop_check,
 )
 from pinkhorn import solvers
+from pinkhorn.checks import _random_problem
 from pinkhorn.kernel import kl_terms, log_sum_exp
 
 
@@ -94,20 +95,24 @@ class TestStopCheck:
         assert stop_check(t(10, 2e-6), cfg) == "max_iter"
 
 
+def one_step(system, x, eta):
+    """The iterate after one cyclic ``solve_smd`` step, the step on block 0."""
+    seen = {}
+    cfg = SolverConfig(method="smd", eta=eta, tol=1e-300, max_iter=1)
+    report = solve_smd(system, x, cfg, callback=seen.__setitem__)
+    assert report.selected == [0]
+    return seen[1]
+
+
 class TestSmdStep:
     def test_projection_at_eta_one(self):
         sys_ = toy_system()
-        z = smd_step(sys_, [1.0, 3.0, 5.0], block=0, eta=1.0)
+        z = one_step(sys_, [1.0, 3.0, 5.0], eta=1.0)
         np.testing.assert_allclose(z, [0.5, 1.5, 5.0], rtol=1e-14)
-
-    def test_eta_zero_identity(self):
-        sys_ = toy_system()
-        x = np.array([1.0, 3.0, 5.0])
-        np.testing.assert_array_equal(smd_step(sys_, x, block=0, eta=0.0), x)
 
     def test_half_step(self):
         sys_ = toy_system()
-        z = smd_step(sys_, [1.0, 3.0, 5.0], block=0, eta=0.5)
+        z = one_step(sys_, [1.0, 3.0, 5.0], eta=0.5)
         root_half = np.sqrt(0.5)
         np.testing.assert_allclose(z, [root_half, 3.0 * root_half, 5.0], rtol=1e-14)
 
@@ -124,18 +129,7 @@ class TestSmdStep:
             eta = float(rng.uniform(0.1, 1.0))
             g = grad_fi(sys_, 0, x) + grad_fi(sys_, 1, x)
             expected = grad_conjugate(grad_mirror(x) - eta * g)
-            np.testing.assert_allclose(smd_step(sys_, x, 0, eta), expected, rtol=1e-12)
-
-    def test_errors(self):
-        sys_ = toy_system()
-        with pytest.raises(ValueError):
-            smd_step(sys_, [1.0, -1.0, 1.0], 0, 1.0)
-        with pytest.raises(ValueError):
-            smd_step(sys_, [1.0, 1.0], 0, 1.0)
-        with pytest.raises(IndexError):
-            smd_step(sys_, [1.0, 1.0, 1.0], 5, 1.0)
-        with pytest.raises(ValueError):
-            smd_step(sys_, [1.0, 1.0, 1.0], 0, -0.5)
+            np.testing.assert_allclose(one_step(sys_, x, eta), expected, rtol=1e-12)
 
 
 class TestSolveSmd:
@@ -238,6 +232,12 @@ class TestSolveSmd:
             solve_smd(sys_, [1.0, 1.0], cfg)
         with pytest.raises(ValueError):
             solve_smd(sys_, [1.0, -1.0, 1.0], cfg)
+        # x0 is positive, but 0.5 * 5e-324 rounds to 0: the dots are [0, 0.5]
+        tiny = ConstraintSystem.from_dense([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], [1.0, 1.0])
+        x0 = np.array([5e-324, 5e-324, 1.0])
+        np.testing.assert_array_equal(tiny.dots(x0), [0.0, 0.5])
+        with pytest.raises(ValueError, match="^x0 gives a nonpositive inner product for some constraint$"):
+            solve_smd(tiny, x0, cfg)
 
 
 class TestSinkhorn:
@@ -455,6 +455,8 @@ class TestAccPinkhorn:
             (random_ot(np.random.default_rng(48), 7, gamma=0.05), SolverConfig(method="acc_pinkhorn", max_iter=30)),
             (random_ot(np.random.default_rng(49), 6), SolverConfig(method="acc_pinkhorn", eta=4.0, tol=1e-10)),
             (underflowed, SolverConfig(method="acc_pinkhorn")),
+            # eta 1e6 starts L at 1e-6, so the first steps overflow and double L
+            (random_ot(np.random.default_rng(0), 5, gamma=0.1), SolverConfig(method="acc_pinkhorn", eta=1e6, tol=1e-9)),
         ]
         seen = set()
         for problem, cfg in cases:
@@ -482,24 +484,37 @@ class TestAccPinkhorn:
         np.testing.assert_array_equal(report.final_iterate[:2, 2:], 0.0)
         np.testing.assert_array_equal(report.final_iterate[2:, :2], 0.0)
 
-    def test_numerical_floor_holds_x(self):
-        # at tol 1e-15 neither the step nor its restart lowers the objective
-        # from iteration 114 on, so every later step keeps x and its penalties
-        prob = random_ot(np.random.default_rng(1), 6, gamma=0.05)
+    @pytest.mark.parametrize(
+        "seed, tol, first_held, held_to_end, violation",
+        [
+            # from iteration 114 on, exp(-g / (theta L)) rounds to 1, so each
+            # step is a null step (z_new == x) whose restart is accepted: x
+            # repeats without the floor being reached
+            (1, 1e-15, 114, True, 1.5e-15),
+            # from iteration 111 on, some steps raise the objective both
+            # directly and after the restart, so they keep x and its
+            # penalties; without that hold the objective rises once
+            (0, 1e-16, 111, False, 4.0e-16),
+        ],
+    )
+    def test_numerical_floor_holds_x(self, seed, tol, first_held, held_to_end, violation):
+        prob = random_ot(np.random.default_rng(seed), 6, gamma=0.05)
         iterates = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = acc_pinkhorn(
                 prob,
-                SolverConfig(method="acc_pinkhorn", tol=1e-15, max_iter=300),
+                SolverConfig(method="acc_pinkhorn", tol=tol, max_iter=300),
                 callback=lambda k, x: iterates.__setitem__(k, x.copy()),
             )
         held = [k for k in range(1, 301) if np.array_equal(iterates[k], iterates[k - 1])]
-        assert held == list(range(114, 301))
+        assert held[0] == first_held
+        if held_to_end:
+            assert held == list(range(first_held, 301))
         objs = [e.objective for e in report.trace]
         assert all(nxt <= prev for prev, nxt in zip(objs, objs[1:]))
         assert report.stop_reason == "max_iter"
-        assert report.trace[-1].violation_l1 == pytest.approx(1.5e-15, rel=0.01)
+        assert report.trace[-1].violation_l1 == pytest.approx(violation, rel=0.01)
 
     def test_underflowed_row_ends_numeric_failure_without_warning(self):
         # exp(-800) underflows, so row 0 of the start has no mass and the
@@ -510,6 +525,37 @@ class TestAccPinkhorn:
             report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn"))
         assert report.stop_reason == "numeric_failure"
         assert report.iterations == 0
+
+
+class TestFamilyIdentities:
+    """Greenkhorn and pinkhorn as configurations of mirror descent on KL(Ax || b)."""
+
+    @pytest.mark.parametrize(
+        "n, m, seed, gamma", [(8, 8, 0, 1.0), (20, 20, 1, 1.0), (15, 25, 2, 1.0), (10, 12, 3, 0.1), (6, 9, 4, 0.05)]
+    )
+    def test_greenkhorn_is_greedy_smd_on_singleton_blocks(self, n, m, seed, gamma):
+        # one block per row and per column constraint of the n x m plan
+        prob = _random_problem(np.random.default_rng(seed), n, m, gamma=gamma)
+        marginals = np.vstack((np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))))
+        system = ConstraintSystem.from_dense(marginals, np.concatenate((prob.p, prob.q)))
+        x0 = np.exp(gibbs_kernel(prob)).ravel()
+        smd = solve_smd(system, x0, SolverConfig(method="smd", sampling="greedy", tol=1e-9))
+        green = greenkhorn(prob, SolverConfig(method="greenkhorn", tol=1e-9))
+        assert green.stop_reason == smd.stop_reason == "converged"
+        assert green.selected == smd.selected
+        np.testing.assert_allclose(green.final_iterate, smd.final_iterate.reshape(n, m), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed, gamma", [(0, 1.0), (1, 0.1)])
+    def test_pinkhorn_default_step_is_one_over_smooth_constant(self, seed, gamma):
+        prob = _random_problem(np.random.default_rng(seed), 7, 9, gamma=gamma)
+        eta = 1.0 / as_constraint_system(prob).smooth_constant()
+        assert eta == 0.5
+        default = pinkhorn(prob, SolverConfig(method="pinkhorn", tol=1e-10))
+        explicit = pinkhorn(prob, SolverConfig(method="pinkhorn", eta=eta, tol=1e-10))
+        assert (default.iterations, default.stop_reason) == (explicit.iterations, explicit.stop_reason)
+        entries = lambda report: [(e.iteration, e.objective, e.violation_l1) for e in report.trace]
+        assert entries(default) == entries(explicit)
+        np.testing.assert_array_equal(default.final_iterate, explicit.final_iterate)
 
 
 class TestDispatchAndTrace:
@@ -634,19 +680,19 @@ NONCONTIG_BLOCKS = [[3, 0], [1], [2, 4]]
 NONCONTIG_B = NONCONTIG_A @ np.linspace(0.5, 1.5, 6)
 
 
-def _noncontig_dense():
-    return ConstraintSystem.from_dense(NONCONTIG_A, NONCONTIG_B, blocks=NONCONTIG_BLOCKS)
+def _noncontig_dense(blocks=NONCONTIG_BLOCKS):
+    return ConstraintSystem.from_dense(NONCONTIG_A, NONCONTIG_B, blocks=blocks)
 
 
-def _noncontig_triplets():
+def _noncontig_triplets(blocks=NONCONTIG_BLOCKS):
     rows, cols = np.nonzero(NONCONTIG_A)
     trips = list(zip(rows.tolist(), cols.tolist(), NONCONTIG_A[rows, cols].tolist()))
-    return ConstraintSystem.from_triplets(trips, NONCONTIG_B, dimension=6, blocks=NONCONTIG_BLOCKS)
+    return ConstraintSystem.from_triplets(trips, NONCONTIG_B, dimension=6, blocks=blocks)
 
 
-def _noncontig_rows():
-    rows = [Hyperplane.from_dense(a, b) for a, b in zip(NONCONTIG_A, NONCONTIG_B)]
-    return ConstraintSystem(rows, dimension=6, blocks=NONCONTIG_BLOCKS)
+def _noncontig_rows(blocks=NONCONTIG_BLOCKS):
+    rows = [Hyperplane(indices=np.arange(6), values=a, b=b) for a, b in zip(NONCONTIG_A, NONCONTIG_B)]
+    return ConstraintSystem(rows, dimension=6, blocks=blocks)
 
 
 def _dense_block_step(x, block, eta):
@@ -727,13 +773,15 @@ class TestNonContiguousBlocks:
 
     def test_dots_and_steps_match_dense_reference(self, build):
         system = build()
+        # the blocks listed from ``block`` on, so a first cyclic step takes ``block``
+        rotated = [build(NONCONTIG_BLOCKS[block:] + NONCONTIG_BLOCKS[:block]) for block in range(3)]
         rng = np.random.default_rng(60)
         for _ in range(5):
             x = rng.uniform(0.1, 3.0, 6)
             np.testing.assert_allclose(system.dots(x), NONCONTIG_A @ x, rtol=1e-14)
             for block in range(3):
                 np.testing.assert_allclose(
-                    smd_step(system, x, block, 0.7), _dense_block_step(x, block, 0.7), rtol=1e-12
+                    one_step(rotated[block], x, 0.7), _dense_block_step(x, block, 0.7), rtol=1e-12
                 )
 
     def test_smooth_constants_match_dense_reference(self, build):
