@@ -68,7 +68,7 @@ def _check_gradients(rng) -> CheckResult:
     for _ in range(20):
         d = int(rng.integers(3, 9))
         row = _random_row(rng, d, binary=bool(rng.integers(2)))
-        system = ConstraintSystem([row], dimension=d)
+        system = ConstraintSystem.from_rows([row], dimension=d)
         for _ in range(5):
             x = rng.uniform(0.2, 3.0, d)
             g = grad_fi(system, 0, x)

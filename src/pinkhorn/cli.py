@@ -242,7 +242,7 @@ def cmd_system(args) -> int:
     if b.size != n_rows:
         raise CliInputError(f"b has {b.size} entries for {n_rows} triplet rows")
     try:
-        system = ConstraintSystem._from_entries(rows, cols, values, b, n_cols, blocks)
+        system = ConstraintSystem(rows, cols, values, b, n_cols, blocks)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     if args.x0:
@@ -274,7 +274,10 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     lines = ["instance,method,iterations,final_violation,time_ms"]
     for instance in range(args.count):
-        problem = _random_problem(rng, args.n, gamma=args.gamma)
+        try:
+            problem = _random_problem(rng, args.n, gamma=args.gamma)
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from exc
         for method in methods:
             cfg = _solver_config(args, method=method)
             report = solve(problem, cfg)

@@ -1,10 +1,10 @@
 """Independent reference computations used by the test suite and ``check``.
 
 Everything here is deliberately brute force: finite differences instead of
-analytic gradients, golden-section search instead of the closed-form prox,
-long cyclic projection runs instead of the fast solvers, and a by-hand
-closed form for one symmetric 2x2 transport instance.  The point is that
-none of it shares code paths with the quantities it validates.
+analytic gradients, golden-section search plus bisection on the derivative's
+sign instead of the closed-form prox, cyclic projection runs instead of the
+fast solvers, and a by-hand closed form for a symmetric 2x2 transport
+instance.  None of it shares code paths with the quantities it validates.
 """
 
 from __future__ import annotations

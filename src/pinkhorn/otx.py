@@ -177,7 +177,7 @@ def as_constraint_system(problem: OTProblem) -> ConstraintSystem:
     col = np.concatenate((np.arange(n * m), np.arange(n * m).reshape(n, m).T.ravel()))
     b = np.concatenate((problem.p, problem.q))
     blocks = [list(range(n)), list(range(n, n + m))]
-    return ConstraintSystem._from_entries(row, col, np.ones(2 * n * m), b, n * m, blocks)
+    return ConstraintSystem(row, col, np.ones(2 * n * m), b, n * m, blocks)
 
 
 def round_to_feasible(problem: OTProblem, plan) -> np.ndarray:

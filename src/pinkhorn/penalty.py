@@ -49,25 +49,8 @@ class ConstraintSystem:
     The API keeps the caller's row numbering (``b``, ``blocks``, ``dots``).
     """
 
-    def __init__(self, rows, dimension: int, blocks=None):
-        rows = list(rows)
-        if not rows:
-            raise ValueError("constraint system needs at least one row")
-        if not all(isinstance(r, Hyperplane) for r in rows):
-            raise TypeError("rows must be Hyperplane instances")
-        row = np.repeat(np.arange(len(rows)), [r.support_size for r in rows])
-        col = np.concatenate([r.indices for r in rows])
-        val = np.concatenate([r.values for r in rows])
-        self._load(row, col, val, [r.b for r in rows], dimension, blocks)
-
-    @classmethod
-    def _from_entries(cls, row, col, val, b, dimension, blocks) -> "ConstraintSystem":
-        """Build from (row, col, value) entry arrays without any Hyperplane."""
-        system = cls.__new__(cls)
-        system._load(row, col, val, b, dimension, blocks)
-        return system
-
-    def _load(self, row, col, val, b, dimension, blocks) -> None:
+    def __init__(self, row, col, val, b, dimension: int, blocks=None):
+        """Build from (row, col, value) entry arrays; ``from_*`` convert other inputs."""
         b = np.asarray(b, dtype=np.float64).reshape(-1)
         if blocks is None:
             blocks = [[i] for i in range(b.size)]
@@ -99,6 +82,19 @@ class ConstraintSystem:
         self._log_b = np.log(b)  # per stored row, for block_update
         self._block_ptr = np.concatenate(([0], np.cumsum(sizes)))
         self._block_of = block_id[self._pos]
+
+    @classmethod
+    def from_rows(cls, rows, dimension: int, blocks=None) -> "ConstraintSystem":
+        """Build from a list of ``Hyperplane`` rows."""
+        rows = list(rows)
+        if not rows:
+            raise ValueError("constraint system needs at least one row")
+        if not all(isinstance(r, Hyperplane) for r in rows):
+            raise TypeError("rows must be Hyperplane instances")
+        row = np.repeat(np.arange(len(rows)), [r.support_size for r in rows])
+        col = np.concatenate([r.indices for r in rows])
+        val = np.concatenate([r.values for r in rows])
+        return cls(row, col, val, [r.b for r in rows], dimension, blocks)
 
     @property
     def n_constraints(self) -> int:
@@ -184,7 +180,7 @@ class ConstraintSystem:
         if A.shape[0] != np.size(b):
             raise ValueError(f"A has {A.shape[0]} rows but b has {np.size(b)} entries")
         row, col = np.nonzero(A)
-        return cls._from_entries(row, col, A[row, col], b, A.shape[1], blocks)
+        return cls(row, col, A[row, col], b, A.shape[1], blocks)
 
     @classmethod
     def from_triplets(cls, triplets, b, dimension=None, blocks=None) -> "ConstraintSystem":
@@ -192,7 +188,7 @@ class ConstraintSystem:
         row, col, val = zip(*triplets)
         if dimension is None:
             dimension = int(max(col)) + 1
-        return cls._from_entries(row, col, val, b, dimension, blocks)
+        return cls(row, col, val, b, dimension, blocks)
 
 
 def eval_fi(system: ConstraintSystem, i: int, x) -> float:

@@ -151,7 +151,7 @@ def test_criterion_03_gradient_correctness():
         binary = bool(rng.integers(2))
         values = np.ones(k) if binary else rng.uniform(0.2, 3.0, k)
         row = Hyperplane(indices=idx, values=values, b=float(rng.uniform(0.3, 3.0)))
-        system = ConstraintSystem([row], dimension=d)
+        system = ConstraintSystem.from_rows([row], dimension=d)
         for _ in range(5):
             x = rng.uniform(0.2, 3.0, d)
             g = grad_fi(system, 0, x)
@@ -288,7 +288,7 @@ def _criterion9_system():
             block.append(len(rows))
             rows.append(Hyperplane(indices=idx, values=np.ones(15), b=b_val))
         blocks.append(block)
-    return ConstraintSystem(rows, dimension=d, blocks=blocks)
+    return ConstraintSystem.from_rows(rows, dimension=d, blocks=blocks)
 
 
 def test_criterion_09_block_system_samplings():

@@ -571,6 +571,13 @@ class TestBenchCommand:
         code, out, err = run_cli(capsys, "bench", "--n", "3", "--count", "1", "--methods", ",")
         assert (code, out, err) == (1, "", "error: --methods is empty\n")
 
+    @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "-2"], ["--n", "3", "--gamma", "0"]])
+    def test_bad_instance_arguments_are_input_errors(self, capsys, bad):
+        code, out, err = run_cli(capsys, "bench", *bad, "--count", "1", "--methods", "sinkhorn")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_all_pass(self, capsys):

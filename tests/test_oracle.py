@@ -50,7 +50,7 @@ class TestReferenceSolve:
             Hyperplane(indices=[0, 1], values=[1.0, 1.0], b=2.0),
             Hyperplane(indices=[1, 2], values=[1.0, 1.0], b=2.0),
         ]
-        return ConstraintSystem(rows, dimension=3)
+        return ConstraintSystem.from_rows(rows, dimension=3)
 
     def test_reaches_tight_feasibility(self):
         sys_ = self.toy()
@@ -87,7 +87,7 @@ class TestReferenceSolve:
             Hyperplane(indices=[0, 1], values=[2.0, 0.5], b=1.5),
             Hyperplane(indices=[2], values=[3.0], b=2.0),
         ]
-        sys_ = ConstraintSystem(rows, dimension=3)
+        sys_ = ConstraintSystem.from_rows(rows, dimension=3)
         x = reference_solve(sys_, [0.4, 0.8, 1.2])
         assert eval_f(sys_, x).l1_violation <= 1e-13
 

@@ -13,6 +13,7 @@ from pinkhorn import (
     grad_fi,
     rel_smooth_constant,
 )
+from pinkhorn.cli import main
 
 
 def small_system():
@@ -21,7 +22,7 @@ def small_system():
         Hyperplane(indices=[0, 1], values=[1.0, 1.0], b=2.0),
         Hyperplane(indices=[1, 2], values=[2.0, 1.0], b=3.0),
     ]
-    return ConstraintSystem(rows, dimension=3)
+    return ConstraintSystem.from_rows(rows, dimension=3)
 
 
 class TestConstraintSystem:
@@ -58,37 +59,37 @@ class TestConstraintSystem:
             Hyperplane(indices=[1], values=[1.0], b=1.0),
             Hyperplane(indices=[0, 2], values=[1.0, 1.0], b=1.0),
         ]
-        sys_ = ConstraintSystem(rows, dimension=3, blocks=[[0, 1], [2]])
+        sys_ = ConstraintSystem.from_rows(rows, dimension=3, blocks=[[0, 1], [2]])
         assert sys_.n_blocks == 2
         # rows 0 and 2 share coordinate 0, so they cannot share a block
         with pytest.raises(ValueError):
-            ConstraintSystem(rows, dimension=3, blocks=[[0, 2], [1]])
+            ConstraintSystem.from_rows(rows, dimension=3, blocks=[[0, 2], [1]])
         # partition must cover every row exactly once
         with pytest.raises(ValueError):
-            ConstraintSystem(rows, dimension=3, blocks=[[0, 1]])
+            ConstraintSystem.from_rows(rows, dimension=3, blocks=[[0, 1]])
         with pytest.raises(ValueError):
-            ConstraintSystem(rows, dimension=3, blocks=[[0, 1], [1, 2]])
+            ConstraintSystem.from_rows(rows, dimension=3, blocks=[[0, 1], [1, 2]])
 
     @pytest.mark.parametrize("entry", [0.7, 1.0, np.float64(1.0), "1", None])
     def test_block_entries_must_be_integers(self, entry):
         # a float is not truncated to a row index
         rows = [Hyperplane(indices=[j], values=[1.0], b=1.0) for j in range(3)]
         with pytest.raises(ValueError, match="integer row indices"):
-            ConstraintSystem(rows, dimension=3, blocks=[[0, entry], [2]])
-        sys_ = ConstraintSystem(rows, dimension=3, blocks=[np.array([0, 1]), [np.int32(2)]])
+            ConstraintSystem.from_rows(rows, dimension=3, blocks=[[0, entry], [2]])
+        sys_ = ConstraintSystem.from_rows(rows, dimension=3, blocks=[np.array([0, 1]), [np.int32(2)]])
         assert sys_.blocks == [[0, 1], [2]]
         assert all(type(i) is int for block in sys_.blocks for i in block)
 
     def test_construction_errors(self):
         row = Hyperplane(indices=[0, 4], values=[1.0, 1.0], b=1.0)
         with pytest.raises(ValueError):
-            ConstraintSystem([], dimension=3)
+            ConstraintSystem.from_rows([], dimension=3)
         with pytest.raises(TypeError):
-            ConstraintSystem([(0, 1.0)], dimension=3)
+            ConstraintSystem.from_rows([(0, 1.0)], dimension=3)
         with pytest.raises(ValueError):
-            ConstraintSystem([row], dimension=4)  # index 4 needs dimension 5
+            ConstraintSystem.from_rows([row], dimension=4)  # index 4 needs dimension 5
         with pytest.raises(ValueError):
-            ConstraintSystem([row], dimension=0)
+            ConstraintSystem.from_rows([row], dimension=0)
 
 
 _A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
@@ -174,6 +175,44 @@ class TestConstruction:
             assert len(made) == system.n_constraints
             made.clear()
 
+    def test_every_door_runs_the_constructor_once(self, monkeypatch, tmp_path):
+        built = []
+        init = ConstraintSystem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConstraintSystem, "__init__", counting_init)
+        A = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 1.0, 0.0], [0.0, 0.0, 0.0, 4.0]])
+        b, blocks = [1.0, 2.0, 3.0], [[2, 0], [1]]  # block 0 is not in row order
+        row, col = np.nonzero(A)
+        (tmp_path / "A.csv").write_text("1,0,2,0\n0,3,1,0\n0,0,0,4\n")
+        (tmp_path / "b.csv").write_text("1\n2\n3\n")
+        prob = OTProblem(cost=np.arange(6.0).reshape(2, 3), gamma=1.0, p=[0.5, 0.5], q=[0.25, 0.25, 0.5])
+        doors = {
+            "constructor": lambda: ConstraintSystem(row, col, A[row, col], b, 4, blocks),
+            "from_rows": lambda: ConstraintSystem.from_rows(
+                [Hyperplane(indices=np.flatnonzero(a), values=a[a > 0], b=t) for a, t in zip(A, b)], 4, blocks
+            ),
+            "from_dense": lambda: ConstraintSystem.from_dense(A, b, blocks),
+            "from_triplets": lambda: ConstraintSystem.from_triplets(list(zip(row, col, A[row, col])), b, 4, blocks),
+            "as_constraint_system": lambda: as_constraint_system(prob),
+            "pinkhorn system": lambda: main(
+                ["system", "--matrix", str(tmp_path / "A.csv"), "--b", str(tmp_path / "b.csv"), "--blocks", str(blocks)]
+            ),
+        }
+        for name, door in doors.items():
+            built.clear()
+            door()
+            assert len(built) == 1, name
+            system = built[0]
+            again = ConstraintSystem.from_rows(system.rows, system.dimension, system.blocks)
+            assert len(built) == 2
+            for attr in ("_indices", "_data", "_indptr", "b"):
+                np.testing.assert_array_equal(getattr(again, attr), getattr(system, attr), err_msg=name)
+            assert again.blocks == system.blocks
+
 
 class TestObjective:
     def test_eval_fi_known_value(self):
@@ -230,7 +269,7 @@ class TestSmoothness:
             Hyperplane(indices=[0, 1], values=[1.0, 1.0], b=1.0),
             Hyperplane(indices=[0, 2], values=[0.5, 3.0], b=1.0),
         ]
-        sys_ = ConstraintSystem(rows, dimension=3)
+        sys_ = ConstraintSystem.from_rows(rows, dimension=3)
         assert rel_smooth_constant(sys_, 0) == 1.0
         assert rel_smooth_constant(sys_, 1) == 3.0
         assert sys_.block_smooth_constant(0) == 1.0
@@ -244,7 +283,7 @@ class TestSmoothness:
             Hyperplane(indices=[0, 1, 2], values=[1.0, 1.0, 1.0], b=2.0),
             Hyperplane(indices=[1, 3], values=[2.5, 0.3], b=1.0),
         ]
-        sys_ = ConstraintSystem(rows, dimension=4)
+        sys_ = ConstraintSystem.from_rows(rows, dimension=4)
         from pinkhorn import kl_div
 
         for i in range(2):

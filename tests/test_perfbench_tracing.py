@@ -50,6 +50,7 @@ def test_tracer_installs_records_and_uninstalls():
     assert report.stop_reason == "converged"
     totals = tracer.layer_totals()
     assert totals["otx.as_constraint_system"]["calls"] == 1
+    assert totals["penalty.ConstraintSystem"]["calls"] == 1
     assert totals["solvers.smd"]["calls"] == 1
     assert totals["penalty.dots"]["calls"] == report.iterations + 1
     assert totals["projection.Hyperplane"]["calls"] == 0

@@ -1,4 +1,4 @@
-"""The command outputs README.md shows are what the commands print."""
+"""The outputs README.md shows are what its examples print."""
 
 import re
 import shlex
@@ -11,10 +11,10 @@ from pinkhorn.cli import main
 README = Path(__file__).parents[1] / "README.md"
 
 
-def section(title):
-    """The text of README section ``### title``, up to the next heading."""
+def section(title, level=3):
+    """The text of README section ``title`` at heading ``level``, up to the next heading."""
     text = README.read_text(encoding="utf-8")
-    body = text.split(f"\n### {title}\n", 1)[1]
+    body = text.split(f"\n{'#' * level} {title}\n", 1)[1]
     return re.split(r"^#+ ", body, maxsplit=1, flags=re.M)[0]
 
 
@@ -55,3 +55,12 @@ def test_bench_rows_are_what_the_command_prints(tmp_path, monkeypatch, capsys):
     assert len(shown) == 3 and shown[0].endswith(",time_ms")  # the header and two rows
     without_time = lambda lines: [line.rsplit(",", 1)[0] for line in lines]
     assert without_time(out.splitlines()[: len(shown)]) == without_time(shown)
+
+
+def test_library_quickstart_prints_what_it_shows(capsys):
+    """Each Python block, run in a fresh namespace, prints the output block after it."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", section("Quickstart (library)", level=2), re.M | re.S)
+    assert [lang for lang, _ in blocks] == ["python", "text"] * 2
+    for (_, code), (_, shown) in zip(blocks[::2], blocks[1::2]):
+        exec(code, {})
+        assert capsys.readouterr().out == shown

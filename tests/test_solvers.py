@@ -40,7 +40,7 @@ def toy_system():
         Hyperplane(indices=[0, 1], values=[1.0, 1.0], b=2.0),
         Hyperplane(indices=[1, 2], values=[1.0, 1.0], b=2.0),
     ]
-    return ConstraintSystem(rows, dimension=3)
+    return ConstraintSystem.from_rows(rows, dimension=3)
 
 
 def random_ot(rng, n, gamma=1.0):
@@ -123,7 +123,7 @@ class TestSmdStep:
             Hyperplane(indices=[0, 2], values=[1.5, 0.5], b=1.0),
             Hyperplane(indices=[1, 3], values=[1.0, 2.0], b=2.0),
         ]
-        sys_ = ConstraintSystem(rows, dimension=4, blocks=[[0, 1]])
+        sys_ = ConstraintSystem.from_rows(rows, dimension=4, blocks=[[0, 1]])
         for _ in range(20):
             x = rng.uniform(0.2, 3.0, 4)
             eta = float(rng.uniform(0.1, 1.0))
@@ -629,6 +629,19 @@ class TestDispatchAndTrace:
         np.testing.assert_array_equal(report.final_iterate, plans[-1])
 
     @pytest.mark.parametrize("method", ["sinkhorn", "pinkhorn"])
+    def test_scaling_methods_converge_where_the_kernel_overflows(self, method):
+        # exp(-C/gamma) overflows on the diagonal; the stabilized kernel never
+        # forms it (greenkhorn, acc_pinkhorn and smd still do: ROADMAP)
+        prob = OTProblem(cost=[[-800.0, 0.0], [0.0, -800.0]], gamma=1.0, p=[0.5, 0.5], q=[0.5, 0.5])
+        assert gibbs_kernel(prob).max() > np.log(np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(prob, SolverConfig(method=method))
+        assert report.stop_reason == "converged"
+        assert report.iterations == 1
+        assert marginal_violation(prob, report.final_iterate) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["sinkhorn", "pinkhorn"])
     def test_absorbed_scalings_follow_log_domain_iterates(self, method, monkeypatch):
         # at gamma 0.002 the potentials run far past log(_SCALING_RANGE), so
         # the scalings are absorbed into the kernel along the way
@@ -692,7 +705,7 @@ def _noncontig_triplets(blocks=NONCONTIG_BLOCKS):
 
 def _noncontig_rows(blocks=NONCONTIG_BLOCKS):
     rows = [Hyperplane(indices=np.arange(6), values=a, b=b) for a, b in zip(NONCONTIG_A, NONCONTIG_B)]
-    return ConstraintSystem(rows, dimension=6, blocks=blocks)
+    return ConstraintSystem.from_rows(rows, dimension=6, blocks=blocks)
 
 
 def _dense_block_step(x, block, eta):
