@@ -265,6 +265,8 @@ def cmd_system(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise CliInputError("--count must be >= 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:

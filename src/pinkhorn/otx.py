@@ -159,10 +159,8 @@ def marginal_violation(problem: OTProblem, plan) -> float:
     plan = np.atleast_2d(np.asarray(plan, dtype=np.float64))
     if plan.shape != problem.shape:
         raise ValueError(f"plan shape {plan.shape} does not match cost {problem.shape}")
-    return float(
-        np.abs(plan.sum(axis=1) - problem.p).sum()
-        + np.abs(plan.sum(axis=0) - problem.q).sum()
-    )
+    gap = np.abs(_marginals(plan) - np.concatenate((problem.p, problem.q)))
+    return float(gap[: problem.shape[0]].sum() + gap[problem.shape[0] :].sum())
 
 
 def as_constraint_system(problem: OTProblem) -> ConstraintSystem:

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 
+_NEWTON_MAX_ITER = 200  # Newton steps project_general takes before ConvergenceError
+
+
 class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its iteration cap."""
 
@@ -102,12 +105,12 @@ def project_binary(x, h: Hyperplane) -> np.ndarray:
     return z
 
 
-def project_general(x, h: Hyperplane, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+def project_general(x, h: Hyperplane, tol: float = 1e-12) -> np.ndarray:
     """KL projection onto a general nonnegative row via a 1-D root solve.
 
     Finds the unique alpha with ``sum_j a_j x_j exp(alpha a_j) = b`` and
-    returns ``x * exp(alpha * a)``.  The residual is driven below
-    ``tol * b`` within ``max_iter`` Newton steps, else ConvergenceError; the
+    returns ``x * exp(alpha * a)``.  The residual is driven below ``tol * b``
+    within ``_NEWTON_MAX_ITER`` Newton steps, else ConvergenceError; the
     solve works on log(sum exp) so huge exponents cannot overflow.  The
     residual log <a, x exp(alpha a)> - log b is increasing and convex in
     alpha, with slope at least min a > 0, so Newton needs no safeguard: from
@@ -126,7 +129,7 @@ def project_general(x, h: Hyperplane, tol: float = 1e-12, max_iter: int = 200) -
     base = np.log(a) + np.log(xs)
     log_b = np.log(h.b)
     alpha = np.log(h.b / s) / float(a.max())
-    for _ in range(max_iter + 1):
+    for _ in range(_NEWTON_MAX_ITER + 1):
         r = log_sum_exp(base + alpha * a) - log_b
         # the step from below may land far above the root, where expm1 is inf
         with np.errstate(over="ignore"):
@@ -136,9 +139,7 @@ def project_general(x, h: Hyperplane, tol: float = 1e-12, max_iter: int = 200) -
                 return z
         # d/dalpha log sum exp = softmax-weighted mean of the coefficients
         alpha -= r / float(a @ np.exp(base + alpha * a - (r + log_b)))
-    raise ConvergenceError(
-        f"projection multiplier did not converge within {max_iter} iterations"
-    )
+    raise ConvergenceError(f"projection multiplier did not converge within {_NEWTON_MAX_ITER} iterations")
 
 
 def bregman_prox_entropy_linear(x, c, eta: float) -> np.ndarray:

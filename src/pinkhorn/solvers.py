@@ -30,13 +30,14 @@ used to stop.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
-from .otx import OTProblem, Potentials, _marginals, _penalties, as_constraint_system, gibbs_kernel
+from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _penalties, as_constraint_system, gibbs_kernel
 from .penalty import ConstraintSystem
 
 __all__ = [
@@ -95,7 +96,7 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if int(self.seed) < 0:
+        if not hasattr(self.seed, "__index__") or operator.index(self.seed) < 0:  # no float or str
             raise ValueError("seed must be a nonnegative integer")
 
 
@@ -220,7 +221,10 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
 class _Scaling:
     """The plan diag(a) K~ diag(b) of an OT problem, K~ = exp(u + logK + v).
 
-    One state for sinkhorn, greenkhorn and pinkhorn.  The plan's potentials
+    One state for sinkhorn, greenkhorn and pinkhorn, and the start of all
+    five methods: K~ = exp(-C/gamma), divided by its largest entry (u = -max
+    logK) where an entry or a row or column sum could overflow, since a
+    constant added to C leaves the entropic plan as it is.  The potentials
     are (u + log a, v + log b): (u, v) are absorbed into K~, and the
     scalings (a, b) carry what changed since, so a step is a matrix-vector
     product on K~ and no exp.  Per-constraint vectors are stacked, rows
@@ -238,14 +242,14 @@ class _Scaling:
         self.n = problem.shape[0]
         self.pq = np.concatenate((problem.p, problem.q))
         self.rc = None
-        self._absorb(np.zeros(self.pq.size))
+        top = self.logK.max()
+        u = -top if top + np.log(max(problem.shape)) > _EXP_OVERFLOW else 0.0
+        self._absorb(np.repeat([u, 0.0], problem.shape))
 
     def _commit(self, w, K, ab, kab) -> bool:
         """Make this the state unless the plan's marginals overflow or all vanish."""
         rc = ab * kab
-        # iteration 0 is exp(-C/gamma) as given, even when it overflows.  A
-        # zero row or column is allowed: an underflowed kernel has them
-        # until the log-domain step
+        # the start is always committed, even an underflowed kernel's zero marginals
         if self.rc is not None and not 0.0 < rc.max() < np.inf:
             return False
         self.w, self.K, self.ab, self.kab, self.rc = w, K, ab, kab, rc
@@ -258,7 +262,7 @@ class _Scaling:
         n = self.n
         with np.errstate(over="ignore"):
             K = np.exp(w[:n, None] + self.logK + w[None, n:])
-        return self._commit(w, K, np.ones(w.size), np.concatenate((K.sum(axis=1), K.sum(axis=0))))
+        return self._commit(w, K, np.ones(w.size), _marginals(K))
 
     def refresh(self) -> None:
         """Recompute K~ b and K~^T a from K~, dropping incremental drift."""
@@ -405,9 +409,9 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     theta resets to 1 and the step is retaken from x (function-value
     restart), which makes the recorded objective non-increasing.
     """
-    x = z = np.exp(gibbs_kernel(problem))
-    n = problem.shape[0]
-    pq = np.concatenate((problem.p, problem.q))
+    st = _Scaling(problem)
+    x = z = st.K
+    n, pq = st.n, st.pq
     theta = 1.0
     L = 2.0 if cfg.eta is None else 1.0 / float(cfg.eta)
     l_floor = 1e-6
@@ -448,7 +452,7 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             lc *= 2.0
         return None
 
-    mx = _penalties(_marginals(x), pq, n)  # x's penalties, objective and violation
+    mx = _penalties(st.rc, pq, n)  # x's penalties, objective and violation
 
     def step(k: int) -> bool:
         nonlocal x, z, mx, theta, L
@@ -474,9 +478,9 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
 def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Dispatch on ``cfg.method``; ``smd`` runs on the marginal constraint system.
 
-    When exp(-C/gamma) underflows, ``smd`` has no positive start: the run
-    ends at iteration 0 at that kernel, ``converged`` if it already meets
-    tol and ``numeric_failure`` otherwise.
+    When ``_Scaling``'s start has an underflowed entry, ``smd`` has no
+    positive start: the run ends at iteration 0 there, ``converged`` if it
+    already meets tol and ``numeric_failure`` otherwise.
     """
     if cfg.method == "sinkhorn":
         return sinkhorn(problem, cfg, callback)
@@ -486,17 +490,12 @@ def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
         return pinkhorn(problem, cfg, callback)
     if cfg.method == "acc_pinkhorn":
         return acc_pinkhorn(problem, cfg, callback)
-    x0 = np.exp(gibbs_kernel(problem))
-    if not np.all(x0 > 0.0):
+    st = _Scaling(problem)
+    if not np.all(st.K > 0.0):
         # an underflowed entry is outside the entropy domain, so every step fails
-        pq = np.concatenate((problem.p, problem.q))
-        measure = lambda: _penalties(_marginals(x0), pq, problem.shape[0])[1:]
-        run = _iterate(cfg, callback, measure, lambda k: False, lambda: x0)
-        return SolveReport(final_iterate=x0, **run)
-    system = as_constraint_system(problem)
-    cb = None
-    if callback is not None:
-        cb = lambda k, vec: callback(k, vec.reshape(problem.shape))
-    report = solve_smd(system, x0.reshape(-1), cfg, cb)
+        run = _iterate(cfg, callback, st.measure, lambda k: False, lambda: st.K)
+        return SolveReport(final_iterate=st.K, **run)
+    cb = None if callback is None else lambda k, vec: callback(k, vec.reshape(problem.shape))
+    report = solve_smd(as_constraint_system(problem), st.K.reshape(-1), cfg, cb)
     report.final_iterate = report.final_iterate.reshape(problem.shape)
     return report

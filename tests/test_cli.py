@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,30 @@ class TestSolveCommand:
         np.testing.assert_array_equal(plan.sum(axis=1), [0.5, 0.5])
         np.testing.assert_array_equal(plan.sum(axis=0), [0.5, 0.5])
 
+    @pytest.mark.parametrize("method, expected", [("greenkhorn", 0), ("acc_pinkhorn", 0), ("smd", 2)])
+    def test_round_flag_where_the_kernel_overflows(self, ot_files, capsys, tmp_path, method, expected):
+        # exp(800) overflows; smd's start exp(-C/gamma) / exp(800) has zero
+        # entries, so it ends numeric_failure at iteration 0
+        cost = write(tmp_path / "neg.csv", "-800,0\n0,-800\n")
+        plan_path = tmp_path / "plan.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(
+                capsys,
+                "solve",
+                "--cost", cost,
+                "--p", ot_files["p"],
+                "--q", ot_files["q"],
+                "--gamma", "1",
+                "--method", method,
+                "--round",
+                "--out", str(plan_path),
+            )
+        assert code == expected
+        plan = read_matrix_csv(str(plan_path))
+        np.testing.assert_allclose(plan.sum(axis=1), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), [0.5, 0.5], atol=1e-12)
+
     def test_non_convergence_exits_2(self, ot_files, capsys, tmp_path):
         p_skew = write(tmp_path / "p2.csv", "0.75\n0.25\n")
         code, out, _ = run_cli(
@@ -571,12 +596,23 @@ class TestBenchCommand:
         code, out, err = run_cli(capsys, "bench", "--n", "3", "--count", "1", "--methods", ",")
         assert (code, out, err) == (1, "", "error: --methods is empty\n")
 
-    @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "-2"], ["--n", "3", "--gamma", "0"]])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--n", "0"],
+            ["--n", "-2"],
+            ["--n", "3", "--gamma", "0"],
+            ["--n", "3", "--count", "0"],
+            ["--n", "3", "--count", "-2"],
+        ],
+    )
     def test_bad_instance_arguments_are_input_errors(self, capsys, bad):
-        code, out, err = run_cli(capsys, "bench", *bad, "--count", "1", "--methods", "sinkhorn")
+        code, out, err = run_cli(capsys, "bench", "--count", "1", "--methods", "sinkhorn", *bad)
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if "--count" in bad:
+            assert err == "error: --count must be >= 1\n"
 
 
 class TestCheckCommand:
@@ -632,6 +668,8 @@ def console_script_command(name):
 
 def test_console_script_end_to_end(tmp_path):
     command, env = console_script_command("pinkhorn")
+    # the subprocess meets the RuntimeWarning rule pytest applies here
+    env = dict(os.environ if env is None else env, PYTHONWARNINGS="error::RuntimeWarning")
     write(tmp_path / "cost.csv", "0,1\n1,0\n")
     write(tmp_path / "m.csv", "0.5\n0.5\n")
     proc = subprocess.run(

@@ -14,6 +14,7 @@ from pinkhorn import (
     project_binary,
     project_general,
 )
+from pinkhorn import projection
 
 
 def random_binary_row(rng, d):
@@ -181,12 +182,13 @@ class TestProjectGeneral:
         with pytest.raises(ValueError):
             project_general(np.array([1.0]), h, tol=0.0)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # two distinct coefficients so the initial guess is inexact and the
         # Newton loop actually has work to do
+        monkeypatch.setattr(projection, "_NEWTON_MAX_ITER", 0)
         h = Hyperplane(indices=[0, 1], values=[1.0, 3.0], b=2.0)
         with pytest.raises(ConvergenceError):
-            project_general(np.array([1.0, 1.0]), h, max_iter=0)
+            project_general(np.array([1.0, 1.0]), h)
 
 
 class TestProx:

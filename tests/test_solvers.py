@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pinkhorn import (
+    METHODS,
     ConstraintSystem,
     Hyperplane,
     OTProblem,
@@ -49,6 +50,15 @@ def random_ot(rng, n, gamma=1.0):
     return OTProblem(cost=rng.random((n, n)), gamma=gamma, p=p / p.sum(), q=q / q.sum())
 
 
+# every entry of exp(-C/gamma) underflows to zero at gamma 1
+ALL_UNDERFLOW = 1000.0 + np.arange(9.0).reshape(3, 3) / 9.0
+
+
+def uniform_ot(cost, gamma=1.0):
+    n, m = np.shape(cost)
+    return OTProblem(cost=cost, gamma=gamma, p=np.full(n, 1.0 / n), q=np.full(m, 1.0 / m))
+
+
 def feasible_start_problem():
     # cost chosen so the unconstrained optimum already has the right marginals
     p = np.array([0.6, 0.4])
@@ -78,6 +88,9 @@ class TestSolverConfig:
             dict(tol=-1e-8),
             dict(max_iter=0),
             dict(seed=-1),
+            dict(seed=1.5),
+            dict(seed=np.float64(2.0)),
+            dict(seed="3"),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -516,10 +529,16 @@ class TestAccPinkhorn:
         assert report.stop_reason == "max_iter"
         assert report.trace[-1].violation_l1 == pytest.approx(violation, rel=0.01)
 
-    def test_underflowed_row_ends_numeric_failure_without_warning(self):
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            OTProblem(cost=[[800.0, 801.0], [0.0, 1.0]], gamma=1.0, p=[0.5, 0.5], q=[0.3, 0.7]),
+            uniform_ot(ALL_UNDERFLOW),
+        ],
+    )
+    def test_underflowed_row_ends_numeric_failure_without_warning(self, prob):
         # exp(-800) underflows, so row 0 of the start has no mass and the
         # gradient log(r / p) is undefined there
-        prob = OTProblem(cost=[[800.0, 801.0], [0.0, 1.0]], gamma=1.0, p=[0.5, 0.5], q=[0.3, 0.7])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn"))
@@ -593,15 +612,21 @@ class TestDispatchAndTrace:
         assert iters == expected
 
     @pytest.mark.parametrize(
-        "diagonal, reason", [(0.0, "numeric_failure"), (np.log(2.0), "converged")]
+        "cost, reason",
+        [
+            # the off-diagonal entries of exp(-C/gamma) underflow to zero
+            ([[0.0, 1000.0], [1000.0, 0.0]], "numeric_failure"),
+            ([[np.log(2.0), 1000.0], [1000.0, np.log(2.0)]], "converged"),
+            (ALL_UNDERFLOW, "numeric_failure"),
+        ],
     )
-    def test_smd_on_underflowed_kernel_stops_at_start(self, diagonal, reason):
-        # the off-diagonal entries of exp(-C/gamma) underflow to zero
-        cost = np.array([[diagonal, 1000.0], [1000.0, diagonal]])
-        prob = OTProblem(cost=cost, gamma=1.0, p=[0.5, 0.5], q=[0.5, 0.5])
+    def test_smd_on_underflowed_kernel_stops_at_start(self, cost, reason):
+        prob = uniform_ot(cost)
         plans = []
-        report = solve(prob, SolverConfig(method="smd"), callback=lambda k, x: plans.append(x))
-        kernel = np.exp(-cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(prob, SolverConfig(method="smd"), callback=lambda k, x: plans.append(x))
+        kernel = np.exp(-prob.cost)
         assert report.stop_reason == reason
         assert report.iterations == 0
         assert len(report.trace) == 1
@@ -614,6 +639,7 @@ class TestDispatchAndTrace:
         [
             ([[800.0, 801.0], [0.0, 1.0]], [0.5, 0.5], [0.3, 0.7]),
             ([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3], [1e3, 1e3, 1e3]], [1 / 3] * 3, [1 / 3] * 3),
+            (ALL_UNDERFLOW, [1 / 3] * 3, [1 / 3] * 3),
         ],
     )
     @pytest.mark.parametrize("method", ["sinkhorn", "greenkhorn", "pinkhorn"])
@@ -623,23 +649,51 @@ class TestDispatchAndTrace:
         prob = OTProblem(cost=cost, gamma=1.0, p=p, q=q)
         assert not np.exp(gibbs_kernel(prob)).sum(axis=1).all()
         plans = []
-        report = solve(prob, SolverConfig(method=method), callback=lambda k, x: plans.append(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(prob, SolverConfig(method=method), callback=lambda k, x: plans.append(x))
         assert report.stop_reason == "converged"
         assert marginal_violation(prob, report.final_iterate) <= 1.1e-8
         np.testing.assert_array_equal(report.final_iterate, plans[-1])
 
-    @pytest.mark.parametrize("method", ["sinkhorn", "pinkhorn"])
-    def test_scaling_methods_converge_where_the_kernel_overflows(self, method):
-        # exp(-C/gamma) overflows on the diagonal; the stabilized kernel never
-        # forms it (greenkhorn, acc_pinkhorn and smd still do: ROADMAP)
-        prob = OTProblem(cost=[[-800.0, 0.0], [0.0, -800.0]], gamma=1.0, p=[0.5, 0.5], q=[0.5, 0.5])
-        assert gibbs_kernel(prob).max() > np.log(np.finfo(np.float64).max)
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            # exp(-C/gamma) overflows on the diagonal
+            [[-800.0, 0.0], [0.0, -800.0]],
+            # its entries exp(709) are finite, but its row and column sums overflow
+            np.full((3, 3), -709.0),
+        ],
+    )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_starts_where_the_kernel_overflows(self, method, cost):
+        # the start is exp(-C/gamma) divided by its largest entry, which
+        # _Scaling carries in the row potentials
+        prob = uniform_ot(cost)
+        assert gibbs_kernel(prob).max() + np.log(max(prob.shape)) > np.log(np.finfo(np.float64).max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = solve(prob, SolverConfig(method=method))
-        assert report.stop_reason == "converged"
-        assert report.iterations == 1
-        assert marginal_violation(prob, report.final_iterate) <= 1e-8
+        assert np.isfinite(report.final_iterate).all()
+        if method in ("sinkhorn", "pinkhorn"):
+            assert report.iterations == 1
+        if method == "smd" and prob.shape == (2, 2):
+            # exp(-800) / exp(800) underflows off the diagonal: no positive start
+            assert (report.stop_reason, report.iterations) == ("numeric_failure", 0)
+        else:
+            assert report.stop_reason == "converged"
+            assert marginal_violation(prob, report.final_iterate) <= 1e-8
+        if report.potentials is not None:
+            np.testing.assert_array_equal(plan_from_potentials(prob, report.potentials), report.final_iterate)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_start_is_the_gibbs_kernel_where_nothing_overflows(self, method):
+        # exp(100) is the largest entry and row 1 is exp(-700): a start
+        # divided by its largest entry would underflow row 1 to zero
+        prob = uniform_ot([[-100.0, 0.0], [700.0, 700.0]])
+        plans = []
+        solve(prob, SolverConfig(method=method, max_iter=1), callback=lambda k, x: plans.append(x))
+        np.testing.assert_array_equal(plans[0], np.exp(gibbs_kernel(prob)))
 
     @pytest.mark.parametrize("method", ["sinkhorn", "pinkhorn"])
     def test_absorbed_scalings_follow_log_domain_iterates(self, method, monkeypatch):
