@@ -66,7 +66,8 @@ def kl_terms(x, y) -> np.ndarray:
     this evaluates y * ((1+t) log1p(t) - t) with t = x/y - 1 instead.
     Callers feeding greedy selection and descent checks rely on tiny terms
     staying resolvable.  Inputs must be nonnegative arrays of matching
-    shape; a term with x = y = 0 is 0.
+    shape, or a ``y`` that broadcasts to the shape of ``x`` (one target
+    vector for a stack of them); a term with x = y = 0 is 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -136,10 +136,27 @@ def _penalties(rc, pq, n: int) -> tuple[np.ndarray, float, float]:
     summed per side, rows then columns.
     """
     per = kl_terms(rc, pq)
+    add = np.add.reduce
+    return per, float(add(per[:n]) + add(per[n:])), _violation(rc, pq, n)
+
+
+def _violation(rc, pq, n: int) -> float:
+    """The l1 violation of stacked marginals, as ``_penalties`` sums it."""
     gap = np.subtract(rc, pq)
     np.abs(gap, out=gap)
     add = np.add.reduce
-    return per, float(add(per[:n]) + add(per[n:])), float(add(gap[:n]) + add(gap[n:]))
+    return float(add(gap[:n]) + add(gap[n:]))
+
+
+def _objectives(rcs, pq, n: int) -> list[float]:
+    """The objective of each of a list of stacked marginals, as ``_penalties`` sums it.
+
+    One ``kl_terms`` call covers the whole list, and each sum runs along a
+    contiguous row, as ``_penalties`` sums one vector.
+    """
+    per = kl_terms(np.stack(rcs), pq)
+    add = np.add.reduce
+    return (add(per[:, :n], axis=1) + add(per[:, n:], axis=1)).tolist()
 
 
 def ot_objective(problem: OTProblem, plan) -> float:
@@ -159,8 +176,7 @@ def marginal_violation(problem: OTProblem, plan) -> float:
     plan = np.atleast_2d(np.asarray(plan, dtype=np.float64))
     if plan.shape != problem.shape:
         raise ValueError(f"plan shape {plan.shape} does not match cost {problem.shape}")
-    gap = np.abs(_marginals(plan) - np.concatenate((problem.p, problem.q)))
-    return float(gap[: problem.shape[0]].sum() + gap[problem.shape[0] :].sum())
+    return _violation(_marginals(plan), np.concatenate((problem.p, problem.q)), problem.shape[0])
 
 
 def as_constraint_system(problem: OTProblem) -> ConstraintSystem:

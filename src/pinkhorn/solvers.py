@@ -18,8 +18,12 @@ Five methods share one telemetry and stopping contract:
 The contract lives in one driver, ``_iterate``: it alone builds the trace,
 applies the stopping rule and the trace cadence, calls the callback, and
 ends a run ``numeric_failure`` at the last valid iterate when a step would
-leave the domain.  Each method supplies only its step and its
-(objective, violation) measurement.  ``sinkhorn``, ``greenkhorn`` and
+leave the domain.  Each method supplies only its step and its measurement:
+the l1 violation, plus either the objective or, where the step never reads
+the penalties (``sinkhorn``, ``pinkhorn``, cyclic and uniform ``solve_smd``),
+a snapshot of the constraint values whose objective the driver evaluates
+later, in one batched call per chunk of kept trace entries and bit for bit
+as a per-iteration evaluation would give it.  ``sinkhorn``, ``greenkhorn`` and
 ``pinkhorn`` also share one scaling state, ``_Scaling``: each of their steps
 multiplies scalings by (target / marginal)^eta, a matrix-vector product on a
 stabilized kernel whose scalings are absorbed into log-domain potentials
@@ -37,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
-from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _penalties, as_constraint_system, gibbs_kernel
+from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _objectives, _penalties, _violation
+from .otx import as_constraint_system, gibbs_kernel
 from .penalty import ConstraintSystem
 
 __all__ = [
@@ -46,7 +51,6 @@ __all__ = [
     "SolverConfig",
     "TraceEntry",
     "SolveReport",
-    "stop_check",
     "solve_smd",
     "sinkhorn",
     "greenkhorn",
@@ -60,6 +64,9 @@ SAMPLINGS = ("cyclic", "uniform", "greedy")
 
 # trace keeps every iteration up to this point, then every tenth and the last
 _DENSE_TRACE_LIMIT = 1000
+# deferred trace objectives are evaluated this many kept entries at a time,
+# which bounds the snapshots a run holds
+_OBJECTIVE_CHUNK = 128
 # scalings beyond this factor either way are absorbed into the potentials;
 # between absorptions K~ is the plan divided by at most its square, so the
 # entries of K~ that carry mass stay normal doubles
@@ -120,49 +127,65 @@ class SolveReport:
     selected: list[int] | None = None
 
 
-def stop_check(trace, cfg: SolverConfig) -> str | None:
-    """Stopping decision from the last trace entry: converged, max_iter, or None."""
-    last = trace[-1]
-    if last.violation_l1 <= cfg.tol:
-        return "converged"
-    if last.iteration >= cfg.max_iter:
-        return "max_iter"
-    return None
-
-
-def _iterate(cfg: SolverConfig, callback, measure, step, current) -> dict:
+def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives=None) -> dict:
     """The iteration loop every method runs; returns the report's run fields.
 
-    ``measure()`` gives (objective, l1 violation) at the current iterate,
-    ``step(k)`` moves to iterate k, ``current()`` is what the callback gets.
-    A step that would leave the domain returns False without changing the
-    iterate, and the run ends ``numeric_failure`` at that last valid iterate.
+    ``measure()`` gives (objective, l1 violation) at the current iterate.
+    With ``objectives`` given it gives (snapshot, l1 violation) instead: the
+    snapshot is an array no later step writes, and ``objectives(snapshots)``
+    gives the objectives of a list of them in one call, made once per
+    ``_OBJECTIVE_CHUNK`` kept trace entries and once at the end; ``time_ms``
+    leaves that time out.  The run stops ``converged`` once the violation
+    is at most ``cfg.tol``, else ``max_iter`` at ``cfg.max_iter``.
+    ``step(k)`` moves to iterate k, ``current()`` is what the callback gets
+    after every iterate.  A step that would leave the domain returns False
+    without changing the iterate, and the run ends ``numeric_failure`` at
+    that last valid iterate.
     """
     t0 = time.perf_counter()
+    trace: list[TraceEntry] = []
+    kept = []  # (iteration, objective or snapshot, violation, ms) of kept entries not yet in the trace
 
-    def entry(k: int) -> TraceEntry:
-        objective, violation = measure()
-        return TraceEntry(k, objective, violation, (time.perf_counter() - t0) * 1e3)
+    def flush() -> None:
+        nonlocal t0
+        t = time.perf_counter()
+        values = [e[1] for e in kept] if objectives is None else objectives([e[1] for e in kept])
+        trace.extend(TraceEntry(k, obj, viol, ms) for (k, _, viol, ms), obj in zip(kept, values))
+        kept.clear()
+        t0 += time.perf_counter() - t
 
+    def entry(k: int) -> tuple:
+        value, violation = measure()
+        return k, value, violation, (time.perf_counter() - t0) * 1e3
+
+    k, keep = 0, True
     last = entry(0)
-    trace = [last]
+    kept.append(last)
     if callback is not None:
         callback(0, current())
-    reason = stop_check(trace, cfg)
-    k = 0
-    while reason is None:
+    while True:
+        if last[2] <= cfg.tol:
+            reason = "converged"
+            break
+        if k >= cfg.max_iter:
+            reason = "max_iter"
+            break
         if not step(k + 1):
             reason = "numeric_failure"
             break
         k += 1
         last = entry(k)
-        reason = stop_check([last], cfg)
-        if k <= _DENSE_TRACE_LIMIT or k % 10 == 0:
-            trace.append(last)
+        keep = k <= _DENSE_TRACE_LIMIT or k % 10 == 0
+        if keep:
+            kept.append(last)
+            if len(kept) == _OBJECTIVE_CHUNK:
+                flush()
         if callback is not None:
             callback(k, current())
-    if trace[-1] is not last:  # the last iterate's entry is kept whatever the cadence
-        trace.append(last)
+    if not keep:  # the last iterate's entry is kept whatever the cadence
+        kept.append(last)
+    if kept:
+        flush()
     return {"iterations": k, "stop_reason": reason, "trace": trace}
 
 
@@ -185,16 +208,23 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
     s = system.dots(x, work)
     if np.any(s <= 0.0):
         raise ValueError("x0 gives a nonpositive inner product for some constraint")
-    per = None  # per-row penalties at x, set by measure()
+    greedy = cfg.sampling == "greedy"
+    per = None  # per-row penalties at x, set by measure() for greedy selection
     gap = np.empty_like(s)
     selected: list[int] = []
 
-    def measure() -> tuple[float, float]:
+    def measure() -> tuple:
+        """(objective, violation) for greedy sampling, else (s, violation): dots gives a fresh s."""
         nonlocal per
-        per = kl_terms(s, system.b)
         np.subtract(s, system.b, out=gap)
         np.abs(gap, out=gap)
+        if not greedy:
+            return s, float(np.add.reduce(gap))
+        per = kl_terms(s, system.b)
         return float(np.add.reduce(per)), float(np.add.reduce(gap))
+
+    def objectives(snapshots) -> list[float]:
+        return np.add.reduce(kl_terms(np.stack(snapshots), system.b), axis=1).tolist()
 
     def step(k: int) -> bool:
         nonlocal x, z, s
@@ -214,7 +244,7 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         selected.append(block)
         return True
 
-    run = _iterate(cfg, callback, measure, step, lambda: x.copy())
+    run = _iterate(cfg, callback, measure, step, lambda: x.copy(), None if greedy else objectives)
     return SolveReport(final_iterate=x, **run, selected=selected or None)
 
 
@@ -319,6 +349,14 @@ class _Scaling:
         self.penalties, objective, violation = _penalties(self.rc, self.pq, self.n)
         return objective, violation
 
+    def snapshot(self) -> tuple[np.ndarray, float]:
+        """(marginals, l1 violation) of the plan; a commit never writes into the marginals."""
+        return self.rc, _violation(self.rc, self.pq, self.n)
+
+    def objectives(self, rcs) -> list[float]:
+        """The objectives of snapshots' marginals, as ``measure`` gives them."""
+        return _objectives(rcs, self.pq, self.n)
+
     def potentials(self) -> Potentials:
         w = self.w + np.log(self.ab)
         return Potentials(w[: self.n], w[self.n :])
@@ -346,7 +384,7 @@ def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     """
     st = _Scaling(problem)
     rows, cols = slice(0, st.n), slice(st.n, st.pq.size)
-    run = _iterate(cfg, callback, st.measure, lambda k: st.scale(rows if k % 2 else cols), st.plan)
+    run = _iterate(cfg, callback, st.snapshot, lambda k: st.scale(rows if k % 2 else cols), st.plan, st.objectives)
     return st.report(run)
 
 
@@ -358,10 +396,20 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
     columns) and makes that one marginal exact: one entry of a (or b)
     changes, and K~^T a (or K~ b) moves by one row (column) of K~, in
     O(n + m) with no exp.  Both products are recomputed from K~ every 500
-    iterations, to cap drift, and whenever one turns negative.
+    iterations, to cap drift, and whenever one turns negative.  A plan that
+    measures within tol is measured again on products recomputed from K~
+    before the run may stop ``converged``, so drift cannot pass for
+    convergence.
     """
     st = _Scaling(problem)
     selected: list[int] = []
+
+    def measure() -> tuple[float, float]:
+        objective, violation = st.measure()
+        if violation <= cfg.tol:
+            st.refresh()
+            objective, violation = st.measure()
+        return objective, violation
 
     def step(k: int) -> bool:
         i = int(st.penalties.argmax())
@@ -372,7 +420,7 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
         selected.append(i)
         return True
 
-    return st.report(_iterate(cfg, callback, st.measure, step, st.plan), selected)
+    return st.report(_iterate(cfg, callback, measure, step, st.plan), selected)
 
 
 def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
@@ -388,7 +436,7 @@ def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     st = _Scaling(problem)
     eta = 0.5 if cfg.eta is None else float(cfg.eta)
     both = slice(0, st.pq.size)
-    return st.report(_iterate(cfg, callback, st.measure, lambda k: st.scale(both, eta), st.plan))
+    return st.report(_iterate(cfg, callback, st.snapshot, lambda k: st.scale(both, eta), st.plan, st.objectives))
 
 
 def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:

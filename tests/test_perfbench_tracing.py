@@ -77,8 +77,10 @@ def test_greenkhorn_measures_penalties_once_per_iteration():
     totals = tracer.layer_totals()
     assert tracer.iterations["solvers.greenkhorn"] == k
     assert totals["kernel.log_sum_exp"]["calls"] == 0
-    # one stacked row-and-column penalty vector per measurement, none for the selection
-    assert totals["kernel.kl_terms"]["calls"] + totals["otx.kl_terms"]["calls"] == k + 1
+    # one stacked row-and-column penalty vector per measurement, none for the
+    # selection, and one more where the plan first measures within tol: the
+    # confirming measurement on products recomputed from the kernel
+    assert totals["kernel.kl_terms"]["calls"] + totals["otx.kl_terms"]["calls"] == k + 2
 
 
 def test_acc_pinkhorn_measures_each_objective_with_one_kl_call(monkeypatch):

@@ -11,7 +11,6 @@ from pinkhorn import (
     Hyperplane,
     OTProblem,
     SolverConfig,
-    TraceEntry,
     acc_pinkhorn,
     as_constraint_system,
     bregman_div,
@@ -28,7 +27,6 @@ from pinkhorn import (
     sinkhorn,
     solve,
     solve_smd,
-    stop_check,
 )
 from pinkhorn import solvers
 from pinkhorn.checks import _random_problem
@@ -98,14 +96,39 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
-class TestStopCheck:
-    def test_decisions(self):
-        cfg = SolverConfig(tol=1e-6, max_iter=10)
-        t = lambda it, viol: [TraceEntry(it, 1.0, viol, 0.0)]
-        assert stop_check(t(3, 0.0), cfg) == "converged"
-        assert stop_check(t(3, 5e-7), cfg) == "converged"
-        assert stop_check(t(3, 2e-6), cfg) is None
-        assert stop_check(t(10, 2e-6), cfg) == "max_iter"
+class TestStopRule:
+    @staticmethod
+    def run(violations, cfg=SolverConfig(tol=1e-6, max_iter=10)):
+        """``_iterate`` on measurements that report the given violations in turn."""
+        measured = iter(violations)
+        return solvers._iterate(cfg, None, lambda: (1.0, next(measured)), lambda k: True, lambda: None)
+
+    @pytest.mark.parametrize(
+        "violations, stop",
+        [
+            ([2e-6, 2e-6, 2e-6, 0.0], ("converged", 3)),  # violation 0
+            ([2e-6, 2e-6, 2e-6, 5e-7], ("converged", 3)),  # under tol
+            ([2e-6, 1e-6], ("converged", 1)),  # at tol
+            ([2e-6] * 11, ("max_iter", 10)),  # over tol up to max_iter
+        ],
+    )
+    def test_decisions(self, violations, stop):
+        run = self.run(violations)
+        assert (run["stop_reason"], run["iterations"]) == stop
+        # a violation over tol goes on to the next iterate: each one is measured once
+        assert [e.violation_l1 for e in run["trace"]] == violations
+
+    def test_decisions_through_solve(self):
+        # a plan that meets its marginals exactly converges at the start
+        exact = OTProblem(cost=[[0.0]], gamma=1.0, p=[1.0], q=[1.0])
+        report = solve(exact, SolverConfig(tol=1e-300))
+        assert (report.stop_reason, report.iterations, report.trace[-1].violation_l1) == ("converged", 0, 0.0)
+        prob = random_ot(np.random.default_rng(3), 7, gamma=0.01)
+        report = solve(prob, SolverConfig(tol=1e-6, max_iter=10))
+        assert (report.stop_reason, report.iterations) == ("max_iter", 10)
+        assert report.trace[-1].violation_l1 > 1e-6
+        report = solve(prob, SolverConfig(tol=report.trace[3].violation_l1, max_iter=10))
+        assert (report.stop_reason, report.iterations) == ("converged", 3)
 
 
 def one_step(system, x, eta):
@@ -364,6 +387,38 @@ class TestGreenkhorn:
         assert report.stop_reason == "converged"
         assert report.iterations <= 4
         assert 0 in report.selected
+
+    @staticmethod
+    def _tiny_mass_problem():
+        # one marginal entry of 1e-200: a scaling falls by many orders of
+        # magnitude, and its incremental kernel products keep rounding residue
+        rng = np.random.default_rng(126)
+        x, y = rng.random((7, 2)) * 10, rng.random((7, 2)) * 10
+        p = np.ones(7)
+        p[0] = 1e-200
+        p /= p.sum()
+        return OTProblem(cost=((x[:, None] - y[None]) ** 2).sum(-1), gamma=1e-3, p=p, q=p)
+
+    @staticmethod
+    def _ordinary_problem():
+        # seed 65 of a sweep over random squared-Euclidean clouds: 4x2 at gamma 1e-2
+        rng = np.random.default_rng(65)
+        n, m = rng.integers(2, 15, 2)
+        x, y = rng.random((n, 2)) * 10, rng.random((m, 2)) * 10
+        p, q = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+        return OTProblem(cost=((x[:, None] - y[None]) ** 2).sum(-1), gamma=1e-2, p=p / p.sum(), q=q / q.sum())
+
+    @pytest.mark.parametrize("make, max_iter", [("_tiny_mass_problem", 3000), ("_ordinary_problem", 5000)])
+    def test_converged_means_the_plan_meets_tol(self, make, max_iter):
+        # the products K~ b and K~^T a are updated in O(n + m) per step; their
+        # drift must not let the state's marginals read exact while the plan's miss
+        prob = getattr(self, make)()
+        cfg = SolverConfig(method="greenkhorn", max_iter=max_iter)
+        report = greenkhorn(prob, cfg)
+        if report.stop_reason == "converged":
+            assert marginal_violation(prob, report.final_iterate) <= cfg.tol
+        # the last entry reports what the returned plan misses by, not the drift
+        assert report.trace[-1].violation_l1 == pytest.approx(marginal_violation(prob, report.final_iterate), rel=1e-6)
 
 
 class TestPinkhorn:
@@ -730,6 +785,89 @@ class TestDispatchAndTrace:
         iters = [e.iteration for e in run["trace"]]
         assert iters[-1] == run["iterations"]
         assert len(iters) == len(set(iters))
+
+
+# the steps that read the penalties, so measure them at every iterate
+GREEDY_OR_ACCELERATED = [("greenkhorn", "cyclic"), ("acc_pinkhorn", "cyclic"), ("smd", "greedy")]
+
+
+class TestTraceObjectives:
+    """sinkhorn, pinkhorn and cyclic or uniform smd evaluate trace objectives in batches."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the size of every batch of objectives ``_iterate`` evaluates."""
+        batches = []
+        iterate = solvers._iterate
+
+        def wrapped(cfg, callback, measure, step, current, objectives=None):
+            if objectives is not None:
+                evaluate = objectives
+
+                def objectives(snapshots):
+                    batches.append(len(snapshots))
+                    return evaluate(snapshots)
+
+            return iterate(cfg, callback, measure, step, current, objectives)
+
+        monkeypatch.setattr(solvers, "_iterate", wrapped)
+        return batches
+
+    @staticmethod
+    def measured(monkeypatch, prob, cfg):
+        """The report, and each iterate's (objective, violation) as a per-step measurement gives it."""
+        if cfg.method == "smd":
+            system = as_constraint_system(prob)
+            seen = []
+            report = solve(prob, cfg, callback=lambda k, x: seen.append(system.dots(x.reshape(-1))))
+            b = system.b
+            return report, [(float(np.add.reduce(kl_terms(s, b))), float(np.add.reduce(np.abs(s - b)))) for s in seen]
+        marginals = []
+        snapshot = solvers._Scaling.snapshot
+        monkeypatch.setattr(solvers._Scaling, "snapshot", lambda st: marginals.append(st.rc.copy()) or snapshot(st))
+        report = solve(prob, cfg)
+        pq, n = np.concatenate((prob.p, prob.q)), prob.shape[0]
+        return report, [solvers._penalties(rc, pq, n)[1:] for rc in marginals]
+
+    @pytest.mark.parametrize(
+        "method, sampling", [("sinkhorn", "cyclic"), ("pinkhorn", "cyclic"), ("smd", "cyclic"), ("smd", "uniform")]
+    )
+    # 255 and 1230 keep 256 and 1024 entries, whole chunks; 1237 is past
+    # _DENSE_TRACE_LIMIT and off the every-tenth cadence
+    @pytest.mark.parametrize("max_iter", [255, 1230, 1237])
+    def test_batched_objectives_equal_per_iterate_ones(self, monkeypatch, method, sampling, max_iter):
+        assert solvers._OBJECTIVE_CHUNK == 128 and solvers._DENSE_TRACE_LIMIT == 1000
+        batches = self.spy(monkeypatch)
+        prob = random_ot(np.random.default_rng(49), 6, gamma=0.002)
+        cfg = SolverConfig(method=method, sampling=sampling, tol=1e-300, max_iter=max_iter, seed=3)
+        report, ref = self.measured(monkeypatch, prob, cfg)
+        assert (report.stop_reason, report.iterations) == ("max_iter", max_iter)
+        iters = [e.iteration for e in report.trace]
+        assert iters == sorted(set(range(min(max_iter, 1000) + 1)) | set(range(1010, max_iter + 1, 10)) | {max_iter})
+        for e in report.trace:
+            assert (e.objective, e.violation_l1) == ref[e.iteration]
+        assert sum(batches) == len(report.trace)
+        assert max(batches) <= solvers._OBJECTIVE_CHUNK
+        if max_iter != 1237:
+            assert batches == [solvers._OBJECTIVE_CHUNK] * (len(report.trace) // solvers._OBJECTIVE_CHUNK)
+
+    @pytest.mark.parametrize("eta, stop", [(None, "converged"), (2.0, "numeric_failure")])
+    def test_pinkhorn_objectives_at_a_stop_before_max_iter(self, monkeypatch, eta, stop):
+        batches = self.spy(monkeypatch)
+        prob = random_ot(np.random.default_rng(0), 8, gamma=0.1)
+        report, ref = self.measured(monkeypatch, prob, SolverConfig(method="pinkhorn", eta=eta, max_iter=2000))
+        assert report.stop_reason == stop
+        assert [e.iteration for e in report.trace] == list(range(report.iterations + 1))
+        for e in report.trace:
+            assert (e.objective, e.violation_l1) == ref[e.iteration]
+        assert sum(batches) == len(report.trace) and max(batches) <= solvers._OBJECTIVE_CHUNK
+
+    @pytest.mark.parametrize("method, sampling", GREEDY_OR_ACCELERATED)
+    def test_methods_that_read_penalties_measure_every_iterate(self, monkeypatch, method, sampling):
+        batches = self.spy(monkeypatch)
+        report = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method=method, sampling=sampling))
+        assert report.stop_reason == "converged"
+        assert batches == []
 
 
 # rows 3 and 0 share block 0, rows 2 and 4 block 2: neither block is a
