@@ -129,19 +129,27 @@ def _marginals(plan: np.ndarray) -> np.ndarray:
     return np.concatenate((plan.sum(axis=1), plan.sum(axis=0)))
 
 
-def _penalties(rc, pq, n: int) -> tuple[np.ndarray, float, float]:
-    """(per-constraint KL penalties, objective, l1 violation) of stacked marginals.
+def _penalties(rc, pq, n: int) -> tuple[np.ndarray, float]:
+    """(per-constraint KL penalties, l1 violation) of stacked marginals.
 
-    ``rc`` and ``pq`` hold the n rows, then the columns; both totals are
-    summed per side, rows then columns.
+    ``rc`` and ``pq`` hold the n rows, then the columns; ``_totals`` of the
+    penalties is the objective.
     """
-    per = kl_terms(rc, pq)
+    return kl_terms(rc, pq), _violation(rc, pq, n)
+
+
+def _totals(per, n: int):
+    """The objective of stacked penalties, summed per side, rows then columns.
+
+    Over a stack of penalty vectors it gives one objective per vector, bit
+    for bit as each vector's own: every sum runs along a contiguous row.
+    """
     add = np.add.reduce
-    return per, float(add(per[:n]) + add(per[n:])), _violation(rc, pq, n)
+    return add(per[..., :n], axis=-1) + add(per[..., n:], axis=-1)
 
 
 def _violation(rc, pq, n: int) -> float:
-    """The l1 violation of stacked marginals, as ``_penalties`` sums it."""
+    """The l1 violation of stacked marginals, summed per side as ``_totals`` sums the penalties."""
     gap = np.subtract(rc, pq)
     np.abs(gap, out=gap)
     add = np.add.reduce
@@ -149,14 +157,8 @@ def _violation(rc, pq, n: int) -> float:
 
 
 def _objectives(rcs, pq, n: int) -> list[float]:
-    """The objective of each of a list of stacked marginals, as ``_penalties`` sums it.
-
-    One ``kl_terms`` call covers the whole list, and each sum runs along a
-    contiguous row, as ``_penalties`` sums one vector.
-    """
-    per = kl_terms(np.stack(rcs), pq)
-    add = np.add.reduce
-    return (add(per[:, :n], axis=1) + add(per[:, n:], axis=1)).tolist()
+    """The objective of each of a list of stacked marginals, in one ``kl_terms`` call."""
+    return _totals(kl_terms(np.stack(rcs), pq), n).tolist()
 
 
 def ot_objective(problem: OTProblem, plan) -> float:
@@ -168,7 +170,8 @@ def ot_objective(problem: OTProblem, plan) -> float:
     plan = as_positive_matrix(plan)
     if plan.shape != problem.shape:
         raise ValueError(f"plan shape {plan.shape} does not match cost {problem.shape}")
-    return _penalties(_marginals(plan), np.concatenate((problem.p, problem.q)), problem.shape[0])[1]
+    per = kl_terms(_marginals(plan), np.concatenate((problem.p, problem.q)))
+    return float(_totals(per, problem.shape[0]))
 
 
 def marginal_violation(problem: OTProblem, plan) -> float:

@@ -116,17 +116,18 @@ class ConstraintSystem:
         return self._indices[span], self._data[span]
 
     def _workspace(self) -> np.ndarray:
-        """Scratch floats for ``dots`` and ``block_update``: twice the nonzeros."""
-        return np.empty(2 * self._data.size)
+        """Scratch floats for ``block_update``: one per nonzero."""
+        return np.empty(self._data.size)
 
-    def dots(self, x: np.ndarray, _work: np.ndarray | None = None) -> np.ndarray:
-        """All inner products ``<a_i, x>`` in one vectorized pass.
+    def _check_length(self, x) -> None:
+        if np.shape(x) != (self.dimension,):
+            raise ValueError(f"x has shape {np.shape(x)}, expected ({self.dimension},)")
 
-        ``_work`` is internal: a ``_workspace()`` buffer the products are
-        formed in, so that a solver's repeated calls allocate nothing of the
-        size of the coefficients.
-        """
-        prod = np.take(x, self._indices, out=None if _work is None else _work[: self._data.size])
+    def dots(self, x: np.ndarray) -> np.ndarray:
+        """All inner products ``<a_i, x>`` in one vectorized pass."""
+        self._check_length(x)
+        # a plain gather: numpy buffers a take into ``out=`` whose indices it must check
+        prod = np.take(x, self._indices)
         np.multiply(prod, self._data, out=prod)
         return np.add.reduceat(prod, self._indptr[:-1])[self._pos]
 
@@ -142,22 +143,21 @@ class ConstraintSystem:
         ``s`` holds the inner products at x; gradients of every row in the
         block are taken at the same x, and disjoint supports keep the row
         factors independent.  ``out`` is not ``x`` itself, and ``work`` is a
-        ``_workspace()`` buffer, so the one array the update allocates is the
-        row factors repeated over the block's entries.
+        ``_workspace()`` buffer.  An exp that overflows or underflows gives
+        inf or 0 in ``out``, which the caller rejects.
         """
         p0, p1 = self._block_ptr[block], self._block_ptr[block + 1]
         lo, hi = self._indptr[p0], self._indptr[p1]
         row_fac = self._log_b[p0:p1] - np.log(s[self._row[p0:p1]])
-        log_fac, gathered = work[: hi - lo], work[hi - lo : 2 * (hi - lo)]
+        log_fac = work[: hi - lo]
         np.multiply(self._data[lo:hi], eta, out=log_fac)
         row_len = self._indptr[p0 + 1 : p1 + 1] - self._indptr[p0:p1]
         np.multiply(log_fac, row_fac.repeat(row_len), out=log_fac)
         idx = self._indices[lo:hi]
-        x.take(idx, out=gathered)
+        gathered = x.take(idx)
         np.copyto(out, x)
-        with np.errstate(over="ignore", under="ignore"):
-            np.exp(log_fac, out=log_fac)
-            np.multiply(gathered, log_fac, out=gathered)
+        np.exp(log_fac, out=log_fac)
+        np.multiply(gathered, log_fac, out=gathered)
         out[idx] = gathered
 
     def block_smooth_constant(self, k: int) -> float:
@@ -191,12 +191,20 @@ class ConstraintSystem:
         return cls(row, col, val, b, dimension, blocks)
 
 
-def eval_fi(system: ConstraintSystem, i: int, x) -> float:
-    """One penalty term: s log(s/b_i) - s + b_i with s = <a_i, x>."""
+def _row_dot(system: ConstraintSystem, i: int, x) -> float:
+    """``<a_i, x>``, which must be positive."""
+    x = np.asarray(x, dtype=np.float64)
+    system._check_length(x)
     idx, val = system._entries(i)
-    s = float(val @ np.asarray(x, dtype=np.float64)[idx])
+    s = float(val @ x[idx])
     if s <= 0.0:
         raise ValueError(f"inner product for constraint {i} is not positive")
+    return s
+
+
+def eval_fi(system: ConstraintSystem, i: int, x) -> float:
+    """One penalty term: s log(s/b_i) - s + b_i with s = <a_i, x>."""
+    s = _row_dot(system, i, x)
     return float(kl_terms(s, system.b[i]))
 
 
@@ -206,10 +214,8 @@ def grad_fi(system: ConstraintSystem, i: int, x) -> np.ndarray:
     Vanishes wherever the constraint holds, so a feasible point zeroes every
     component gradient simultaneously.
     """
+    s = _row_dot(system, i, x)
     idx, val = system._entries(i)
-    s = float(val @ np.asarray(x, dtype=np.float64)[idx])
-    if s <= 0.0:
-        raise ValueError(f"inner product for constraint {i} is not positive")
     g = np.zeros(system.dimension)
     g[idx] = val * np.log(s / system.b[i])
     return g

@@ -19,11 +19,15 @@ The contract lives in one driver, ``_iterate``: it alone builds the trace,
 applies the stopping rule and the trace cadence, calls the callback, and
 ends a run ``numeric_failure`` at the last valid iterate when a step would
 leave the domain.  Each method supplies only its step and its measurement:
-the l1 violation, plus either the objective or, where the step never reads
-the penalties (``sinkhorn``, ``pinkhorn``, cyclic and uniform ``solve_smd``),
-a snapshot of the constraint values whose objective the driver evaluates
+the l1 violation plus a snapshot whose objective the driver evaluates
 later, in one batched call per chunk of kept trace entries and bit for bit
-as a per-iteration evaluation would give it.  ``sinkhorn``, ``greenkhorn`` and
+as a per-iteration evaluation would give it.  The snapshot is the constraint
+values where the step never reads the penalties (``sinkhorn``, ``pinkhorn``,
+cyclic and uniform ``solve_smd``), the per-constraint penalties the greedy
+rules select from (``greenkhorn``, greedy ``solve_smd``), and the objective
+itself for ``acc_pinkhorn``, whose step compares them.  Each public solve
+runs with numpy's floating-point errors ignored, and each step tells from the
+values it computes whether it left the domain.  ``sinkhorn``, ``greenkhorn`` and
 ``pinkhorn`` also share one scaling state, ``_Scaling``: each of their steps
 multiplies scalings by (target / marginal)^eta, a matrix-vector product on a
 stabilized kernel whose scalings are absorbed into log-domain potentials
@@ -34,6 +38,8 @@ used to stop.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import operator
 import time
 from dataclasses import dataclass
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
-from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _objectives, _penalties, _violation
+from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _objectives, _penalties, _totals, _violation
 from .otx import as_constraint_system, gibbs_kernel
 from .penalty import ConstraintSystem
 
@@ -71,6 +77,8 @@ _OBJECTIVE_CHUNK = 128
 # between absorptions K~ is the plan divided by at most its square, so the
 # entries of K~ that carry mass stay normal doubles
 _SCALING_RANGE = 1e20
+# np.geterr() inside a solve
+_IGNORE_ALL = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,9 @@ class SolverConfig:
             raise ValueError("eta must be positive (or None for the method default)")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
+        if not hasattr(self.max_iter, "__index__"):  # no float, NaN or str
+            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
+        if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be >= 1")
         if not hasattr(self.seed, "__index__") or operator.index(self.seed) < 0:  # no float or str
             raise ValueError("seed must be a nonnegative integer")
@@ -127,12 +137,42 @@ class SolveReport:
     selected: list[int] | None = None
 
 
-def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives=None) -> dict:
+def _fp_ignored(solver):
+    """Run ``solver`` with numpy's floating-point errors ignored, its callback in the caller's state.
+
+    A step tells from the values it computes whether it left the domain, so
+    an overflow, underflow or invalid operation inside a solve is neither a
+    warning nor an exception, whatever ``np.errstate`` the caller set; the
+    state is set once per solve, not per step.  A solve called from inside
+    another one finds it set already.
+    """
+    signature = inspect.signature(solver)
+
+    @functools.wraps(solver)
+    def run(*args, **kwargs):
+        caller = np.geterr()
+        if caller == _IGNORE_ALL:
+            return solver(*args, **kwargs)
+        call = signature.bind(*args, **kwargs)
+        callback = call.arguments.get("callback")
+        if callback is not None:
+
+            def in_caller_state(k, x):
+                with np.errstate(**caller):
+                    callback(k, x)
+
+            call.arguments["callback"] = in_caller_state
+        with np.errstate(all="ignore"):
+            return solver(*call.args, **call.kwargs)
+
+    return run
+
+
+def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) -> dict:
     """The iteration loop every method runs; returns the report's run fields.
 
-    ``measure()`` gives (objective, l1 violation) at the current iterate.
-    With ``objectives`` given it gives (snapshot, l1 violation) instead: the
-    snapshot is an array no later step writes, and ``objectives(snapshots)``
+    ``measure()`` gives (snapshot, l1 violation) at the current iterate: the
+    snapshot is a value no later step writes, and ``objectives(snapshots)``
     gives the objectives of a list of them in one call, made once per
     ``_OBJECTIVE_CHUNK`` kept trace entries and once at the end; ``time_ms``
     leaves that time out.  The run stops ``converged`` once the violation
@@ -144,12 +184,12 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives=Non
     """
     t0 = time.perf_counter()
     trace: list[TraceEntry] = []
-    kept = []  # (iteration, objective or snapshot, violation, ms) of kept entries not yet in the trace
+    kept = []  # (iteration, snapshot, violation, ms) of kept entries not yet in the trace
 
     def flush() -> None:
         nonlocal t0
         t = time.perf_counter()
-        values = [e[1] for e in kept] if objectives is None else objectives([e[1] for e in kept])
+        values = objectives([e[1] for e in kept])
         trace.extend(TraceEntry(k, obj, viol, ms) for (k, _, viol, ms), obj in zip(kept, values))
         kept.clear()
         t0 += time.perf_counter() - t
@@ -189,6 +229,7 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives=Non
     return {"iterations": k, "stop_reason": reason, "trace": trace}
 
 
+@_fp_ignored
 def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) -> SolveReport:
     """Incremental mirror descent over blocks until the violation meets tol.
 
@@ -205,7 +246,7 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
     # one scratch buffer and a second iterate for the whole run: a step
     # writes its candidate into z and the two swap when it is accepted
     work, z = system._workspace(), np.empty_like(x)
-    s = system.dots(x, work)
+    s = system.dots(x)
     if np.any(s <= 0.0):
         raise ValueError("x0 gives a nonpositive inner product for some constraint")
     greedy = cfg.sampling == "greedy"
@@ -214,17 +255,17 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
     selected: list[int] = []
 
     def measure() -> tuple:
-        """(objective, violation) for greedy sampling, else (s, violation): dots gives a fresh s."""
+        """(per, violation) for greedy sampling, else (s, violation); both are fresh arrays."""
         nonlocal per
         np.subtract(s, system.b, out=gap)
         np.abs(gap, out=gap)
-        if not greedy:
-            return s, float(np.add.reduce(gap))
-        per = kl_terms(s, system.b)
-        return float(np.add.reduce(per)), float(np.add.reduce(gap))
+        if greedy:
+            per = kl_terms(s, system.b)
+        return per if greedy else s, float(np.add.reduce(gap))
 
     def objectives(snapshots) -> list[float]:
-        return np.add.reduce(kl_terms(np.stack(snapshots), system.b), axis=1).tolist()
+        stacked = np.stack(snapshots)
+        return np.add.reduce(stacked if greedy else kl_terms(stacked, system.b), axis=1).tolist()
 
     def step(k: int) -> bool:
         nonlocal x, z, s
@@ -237,14 +278,14 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         system.block_update(x, s, block, eta, z, work)
         if not (0.0 < z.min() and z.max() < np.inf):
             return False
-        s_new = system.dots(z, work)
+        s_new = system.dots(z)
         if not s_new.min() > 0.0:
             return False
         x, z, s = z, x, s_new
         selected.append(block)
         return True
 
-    run = _iterate(cfg, callback, measure, step, lambda: x.copy(), None if greedy else objectives)
+    run = _iterate(cfg, callback, measure, step, lambda: x.copy(), objectives)
     return SolveReport(final_iterate=x, **run, selected=selected or None)
 
 
@@ -290,8 +331,7 @@ class _Scaling:
         if not np.isfinite(w).all():
             return False
         n = self.n
-        with np.errstate(over="ignore"):
-            K = np.exp(w[:n, None] + self.logK + w[None, n:])
+        K = np.exp(w[:n, None] + self.logK + w[None, n:])
         return self._commit(w, K, np.ones(w.size), _marginals(K))
 
     def refresh(self) -> None:
@@ -310,30 +350,29 @@ class _Scaling:
         """
         n = self.n
         single = not isinstance(at, slice)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if eta == 1.0:
-                new = self.pq[at] / self.kab[at]
-            else:
-                new = self.ab[at] * (self.pq[at] / self.rc[at]) ** eta
-            lo, hi = (new, new) if single else (new.min(), new.max())
-            if not (1.0 / _SCALING_RANGE <= lo and hi <= _SCALING_RANGE):
-                if 0.0 < lo and hi < np.inf:
-                    ab = self.ab.copy()
-                    ab[at] = new
-                    return self._absorb(self.w + np.log(ab))
-                return self._log_step(at, eta)
-            ab, kab = self.ab.copy(), self.kab.copy()
-            ab[at] = new
-            if not single:
-                if at.start < n:
-                    np.matmul(self.K.T, ab[:n], out=kab[n:])
-                if at.stop > n:
-                    np.matmul(self.K, ab[n:], out=kab[:n])
-            elif at < n:
-                kab[n:] += (new - self.ab[at]) * self.K[at]
-            else:
-                kab[:n] += (new - self.ab[at]) * self.K[:, at - n]
-            return self._commit(self.w, self.K, ab, kab)
+        if eta == 1.0:
+            new = self.pq[at] / self.kab[at]
+        else:
+            new = self.ab[at] * (self.pq[at] / self.rc[at]) ** eta
+        lo, hi = (new, new) if single else (new.min(), new.max())
+        if not (1.0 / _SCALING_RANGE <= lo and hi <= _SCALING_RANGE):
+            if 0.0 < lo and hi < np.inf:
+                ab = self.ab.copy()
+                ab[at] = new
+                return self._absorb(self.w + np.log(ab))
+            return self._log_step(at, eta)
+        ab, kab = self.ab.copy(), self.kab.copy()
+        ab[at] = new
+        if not single:
+            if at.start < n:
+                np.matmul(self.K.T, ab[:n], out=kab[n:])
+            if at.stop > n:
+                np.matmul(self.K, ab[n:], out=kab[:n])
+        elif at < n:
+            kab[n:] += (new - self.ab[at]) * self.K[at]
+        else:
+            kab[:n] += (new - self.ab[at]) * self.K[:, at - n]
+        return self._commit(self.w, self.K, ab, kab)
 
     def _log_step(self, at, eta: float) -> bool:
         """``scale`` in log domain: the same step on the full potentials."""
@@ -344,17 +383,12 @@ class _Scaling:
         w[at] += eta * (np.log(self.pq[at]) - log_rc[at])
         return self._absorb(w)
 
-    def measure(self) -> tuple[float, float]:
-        """(objective, l1 violation) of the plan; keeps the per-constraint penalties."""
-        self.penalties, objective, violation = _penalties(self.rc, self.pq, self.n)
-        return objective, violation
-
     def snapshot(self) -> tuple[np.ndarray, float]:
         """(marginals, l1 violation) of the plan; a commit never writes into the marginals."""
         return self.rc, _violation(self.rc, self.pq, self.n)
 
     def objectives(self, rcs) -> list[float]:
-        """The objectives of snapshots' marginals, as ``measure`` gives them."""
+        """The objectives of snapshots' marginals, bit for bit as each one's own."""
         return _objectives(rcs, self.pq, self.n)
 
     def potentials(self) -> Potentials:
@@ -372,6 +406,7 @@ class _Scaling:
         )
 
 
+@_fp_ignored
 def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Matrix scaling: a = p / (K~ b) and b = q / (K~^T a) in turn.
 
@@ -388,6 +423,7 @@ def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     return st.report(run)
 
 
+@_fp_ignored
 def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Greedy single-constraint scaling: fix the worst row or column first.
 
@@ -403,16 +439,19 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
     """
     st = _Scaling(problem)
     selected: list[int] = []
+    per = None  # the penalties of the last measurement, which the next step selects from
 
-    def measure() -> tuple[float, float]:
-        objective, violation = st.measure()
+    def measure() -> tuple[np.ndarray, float]:
+        """(per, violation): the penalties are a fresh array and the run's snapshot."""
+        nonlocal per
+        per, violation = _penalties(st.rc, st.pq, st.n)
         if violation <= cfg.tol:
             st.refresh()
-            objective, violation = st.measure()
-        return objective, violation
+            per, violation = _penalties(st.rc, st.pq, st.n)
+        return per, violation
 
     def step(k: int) -> bool:
-        i = int(st.penalties.argmax())
+        i = int(per.argmax())
         if not st.scale(i):
             return False
         if k % 500 == 0 or st.kab.min() < 0.0:
@@ -420,9 +459,13 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
         selected.append(i)
         return True
 
-    return st.report(_iterate(cfg, callback, measure, step, st.plan), selected)
+    def objectives(pers) -> list[float]:
+        return _totals(np.stack(pers), st.n).tolist()
+
+    return st.report(_iterate(cfg, callback, measure, step, st.plan, objectives), selected)
 
 
+@_fp_ignored
 def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Full-gradient mirror descent on the row-plus-column penalty objective.
 
@@ -439,6 +482,7 @@ def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     return st.report(_iterate(cfg, callback, st.snapshot, lambda k: st.scale(both, eta), st.plan, st.objectives))
 
 
+@_fp_ignored
 def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Accelerated Bregman proximal gradient on the penalty objective.
 
@@ -465,8 +509,13 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     l_floor = 1e-6
     max_doublings = 80
 
+    def measured(rc) -> tuple[float, float]:
+        """(objective, l1 violation) of stacked marginals."""
+        per, violation = _penalties(rc, pq, n)
+        return float(_totals(per, n)), violation
+
     def try_step(zc, th, lc):
-        """Backtracked accelerated step from x; returns (x_new, z_new, L, penalties) or None."""
+        """Backtracked accelerated step from x; returns (x_new, z_new, L, (objective, violation)) or None."""
         # sums and products below commute with the expressions they stand
         # for, (1 - th) x + th z and z * outer(...), so the bits are theirs
         x_part = (1.0 - th) * x
@@ -475,32 +524,31 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         rc_y = _marginals(y)
         if not rc_y.all():
             return None  # an empty row or column: log(rc_y / pq) is -inf there
-        fy = _penalties(rc_y, pq, n)[1]
+        fy = measured(rc_y)[0]
         g = np.log(rc_y / pq)
         for _ in range(max_doublings):
             # zero entries of z stay zero; inf * 0 in the outer product is
             # NaN, which the test below rejects with the overflows
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                f = np.exp(-g / (th * lc))
-                z_new = np.outer(f[:n], f[n:])
-                z_new *= zc
+            f = np.exp(-g / (th * lc))
+            z_new = np.outer(f[:n], f[n:])
+            z_new *= zc
             if not z_new.max() < np.inf:
                 lc *= 2.0
                 continue
             x_new = th * z_new
             x_new += x_part
             rc_new = _marginals(x_new)
-            m_new = _penalties(rc_new, pq, n)
+            m_new = measured(rc_new)
             bound = fy + float(g @ (rc_new - rc_y)) + lc * float(np.sum(kl_terms(x_new, y)))
             # slack is relative to the objective scale: an absolute slack
             # would let a too-small L pass once f is tiny, and the collapsed
             # L then makes every later step overshoot
-            if m_new[1] <= bound + 1e-9 * max(fy, m_new[1]):
+            if m_new[0] <= bound + 1e-9 * max(fy, m_new[0]):
                 return x_new, z_new, lc, m_new
             lc *= 2.0
         return None
 
-    mx = _penalties(st.rc, pq, n)  # x's penalties, objective and violation
+    mx = measured(st.rc)  # x's objective and violation
 
     def step(k: int) -> bool:
         nonlocal x, z, mx, theta, L
@@ -509,20 +557,21 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             if nxt is None:
                 return False
             x_new, z_new, L, m_new = nxt
-            if m_new[1] <= mx[1]:
+            if m_new[0] <= mx[0]:
                 break
         else:
-            # numerical floor: hold x and its penalties, keep the z progress
+            # numerical floor: hold x and its objective, keep the z progress
             x_new, m_new = x, mx
         x, z, mx = x_new, z_new, m_new
         L = max(L / 2.0, l_floor)
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
         return True
 
-    run = _iterate(cfg, callback, lambda: mx[1:], step, lambda: x.copy())
+    run = _iterate(cfg, callback, lambda: mx, step, lambda: x.copy(), list)
     return SolveReport(final_iterate=x, **run)
 
 
+@_fp_ignored
 def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Dispatch on ``cfg.method``; ``smd`` runs on the marginal constraint system.
 
@@ -541,7 +590,7 @@ def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     st = _Scaling(problem)
     if not np.all(st.K > 0.0):
         # an underflowed entry is outside the entropy domain, so every step fails
-        run = _iterate(cfg, callback, st.measure, lambda k: False, lambda: st.K)
+        run = _iterate(cfg, callback, st.snapshot, lambda k: False, lambda: st.K, st.objectives)
         return SolveReport(final_iterate=st.K, **run)
     cb = None if callback is None else lambda k, vec: callback(k, vec.reshape(problem.shape))
     report = solve_smd(as_constraint_system(problem), st.K.reshape(-1), cfg, cb)

@@ -255,6 +255,16 @@ class TestObjective:
             assert res.l1_violation == pytest.approx(np.abs(s - sys_.b).sum(), rel=1e-12)
             assert res.objective >= 0.0
 
+    @pytest.mark.parametrize("length", [2, 5])
+    def test_x_of_the_wrong_length_is_rejected(self, length):
+        # read by its prefix, a longer x would give dots [2, 2]
+        sys_ = ConstraintSystem.from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0])
+        x = np.ones(length)
+        for evaluate in (sys_.dots, lambda x: eval_f(sys_, x), lambda x: eval_fi(sys_, 0, x), lambda x: grad_fi(sys_, 1, x)):
+            with pytest.raises(ValueError, match=r"x has shape"):
+                evaluate(x)
+        np.testing.assert_array_equal(sys_.dots(np.ones(3)), [2.0, 2.0])
+
     def test_objective_zero_iff_feasible(self):
         sys_ = small_system()
         feasible = np.array([1.5, 0.5, 2.0])

@@ -85,6 +85,11 @@ class TestSolverConfig:
             dict(tol=0.0),
             dict(tol=-1e-8),
             dict(max_iter=0),
+            # k >= NaN is never true, so a run would not end; 1.5 would stop after 2 iterations
+            dict(max_iter=float("nan")),
+            dict(max_iter=1.5),
+            dict(max_iter=2.0),
+            dict(max_iter="3"),
             dict(seed=-1),
             dict(seed=1.5),
             dict(seed=np.float64(2.0)),
@@ -95,13 +100,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_integer_like_max_iter_is_accepted(self):
+        prob = random_ot(np.random.default_rng(3), 4)
+        report = solve(prob, SolverConfig(tol=1e-300, max_iter=np.int64(3)))
+        assert (report.stop_reason, report.iterations) == ("max_iter", 3)
+
 
 class TestStopRule:
     @staticmethod
     def run(violations, cfg=SolverConfig(tol=1e-6, max_iter=10)):
         """``_iterate`` on measurements that report the given violations in turn."""
         measured = iter(violations)
-        return solvers._iterate(cfg, None, lambda: (1.0, next(measured)), lambda k: True, lambda: None)
+        return solvers._iterate(cfg, None, lambda: (1.0, next(measured)), lambda k: True, lambda: None, list)
 
     @pytest.mark.parametrize(
         "violations, stop",
@@ -778,7 +788,7 @@ class TestDispatchAndTrace:
     def test_failed_step_keeps_last_trace_entry(self, fail_at):
         # iteration 1004 falls between the every-tenth entries kept past 1000
         run = solvers._iterate(
-            SolverConfig(max_iter=5000), None, lambda: (1.0, 1.0), lambda k: k < fail_at, lambda: None
+            SolverConfig(max_iter=5000), None, lambda: (1.0, 1.0), lambda k: k < fail_at, lambda: None, list
         )
         assert run["stop_reason"] == "numeric_failure"
         assert run["iterations"] == fail_at - 1
@@ -787,12 +797,107 @@ class TestDispatchAndTrace:
         assert len(iters) == len(set(iters))
 
 
-# the steps that read the penalties, so measure them at every iterate
+def direct_solve(method, prob, cfg, callback):
+    """The method's own solver, not ``solve``, with the callback passed by position.
+
+    smd starts from exp(-C/gamma), so the kernel must be positive and finite.
+    """
+    if method == "smd":
+        x0 = np.exp(gibbs_kernel(prob)).reshape(-1)
+        return solve_smd(as_constraint_system(prob), x0, cfg, lambda k, x: callback(k, x.reshape(prob.shape)))
+    return {"sinkhorn": sinkhorn, "greenkhorn": greenkhorn, "pinkhorn": pinkhorn, "acc_pinkhorn": acc_pinkhorn}[
+        method
+    ](prob, cfg, callback)
+
+
+# numpy's error state at import, which a caller who sets none runs under
+DEFAULT_ERRSTATE = dict(divide="warn", over="warn", under="ignore", invalid="warn")
+# every kind set, none to the default
+CALLER_ERRSTATE = dict(divide="raise", over="ignore", under="raise", invalid="print")
+# inputs that reach the overflow shift, log-domain steps, underflowed starts
+# and a divergent stepsize: at least one method overflows, underflows or
+# divides by zero inside its steps on each
+HARD_INPUTS = {
+    "overflowing kernel": (uniform_ot([[-800.0, 0.0], [0.0, -800.0]]), None),
+    "overflowing sums": (uniform_ot(np.full((3, 3), -709.0)), None),
+    "underflowed kernel": (uniform_ot(ALL_UNDERFLOW), None),
+    "constant cost, small gamma": (uniform_ot(np.full((3, 3), 3.0), gamma=1e-3), None),
+    "eta 2": (random_ot(np.random.default_rng(0), 8, gamma=0.1), 2.0),
+}
+
+
+class TestErrorState:
+    """A solve ignores floating-point errors inside, and leaves the caller's numpy state as it was."""
+
+    @pytest.mark.parametrize("name", HARD_INPUTS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_raise_state_gives_the_default_states_stop(self, method, name):
+        prob, eta = HARD_INPUTS[name]
+        cfg = SolverConfig(method=method, eta=eta, max_iter=2000)
+        with np.errstate(**DEFAULT_ERRSTATE), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = solve(prob, cfg)
+        with np.errstate(all="raise"):
+            reports = [solve(prob, cfg)]
+            if method != "smd":  # smd's own start is exp(-C/gamma), which these kernels break
+                reports.append(direct_solve(method, prob, cfg, None))
+        for r in reports:
+            assert (r.stop_reason, r.iterations) == (expected.stop_reason, expected.iterations)
+            np.testing.assert_array_equal(r.final_iterate, expected.final_iterate)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_callback_and_caller_keep_the_callers_state(self, method):
+        prob = random_ot(np.random.default_rng(4), 5)
+        seen = []
+        with np.errstate(**CALLER_ERRSTATE):
+            solve(prob, SolverConfig(method=method, max_iter=3), callback=lambda k, x: seen.append(np.geterr()))
+            direct_solve(method, prob, SolverConfig(method=method, max_iter=3), lambda k, x: seen.append(np.geterr()))
+            after = np.geterr()
+        assert after == CALLER_ERRSTATE
+        assert len(seen) > 2 and all(state == CALLER_ERRSTATE for state in seen)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_state_is_restored_after_a_failure_or_a_raising_callback(self, method):
+        prob, eta = HARD_INPUTS["eta 2"]
+        with np.errstate(**CALLER_ERRSTATE):
+            if method == "pinkhorn":  # this input's numeric_failure run
+                assert solve(prob, SolverConfig(method=method, eta=eta)).stop_reason == "numeric_failure"
+                assert np.geterr() == CALLER_ERRSTATE
+
+            class Stop(Exception):
+                pass
+
+            def stop(k, x):
+                if k == 2:
+                    raise Stop
+
+            for run in (lambda: solve(prob, SolverConfig(method=method), callback=stop),
+                        lambda: direct_solve(method, prob, SolverConfig(method=method), stop)):
+                with pytest.raises(Stop):
+                    run()
+                assert np.geterr() == CALLER_ERRSTATE
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_callback_errors_follow_the_callers_state(self, method):
+        prob = random_ot(np.random.default_rng(4), 5)
+        cfg = SolverConfig(method=method, max_iter=3)
+
+        def divide(k, x):
+            return 1.0 / np.zeros(1)
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                solve(prob, cfg, callback=divide)
+            with pytest.raises(FloatingPointError):
+                direct_solve(method, prob, cfg, divide)
+
+
+# the steps that read the penalties or the objective: their snapshot is what they read
 GREEDY_OR_ACCELERATED = [("greenkhorn", "cyclic"), ("acc_pinkhorn", "cyclic"), ("smd", "greedy")]
 
 
 class TestTraceObjectives:
-    """sinkhorn, pinkhorn and cyclic or uniform smd evaluate trace objectives in batches."""
+    """Every method evaluates its trace objectives in batches."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -800,15 +905,12 @@ class TestTraceObjectives:
         batches = []
         iterate = solvers._iterate
 
-        def wrapped(cfg, callback, measure, step, current, objectives=None):
-            if objectives is not None:
-                evaluate = objectives
+        def wrapped(cfg, callback, measure, step, current, objectives):
+            def counted(snapshots):
+                batches.append(len(snapshots))
+                return objectives(snapshots)
 
-                def objectives(snapshots):
-                    batches.append(len(snapshots))
-                    return evaluate(snapshots)
-
-            return iterate(cfg, callback, measure, step, current, objectives)
+            return iterate(cfg, callback, measure, step, current, counted)
 
         monkeypatch.setattr(solvers, "_iterate", wrapped)
         return batches
@@ -822,15 +924,24 @@ class TestTraceObjectives:
             report = solve(prob, cfg, callback=lambda k, x: seen.append(system.dots(x.reshape(-1))))
             b = system.b
             return report, [(float(np.add.reduce(kl_terms(s, b))), float(np.add.reduce(np.abs(s - b)))) for s in seen]
-        marginals = []
-        snapshot = solvers._Scaling.snapshot
-        monkeypatch.setattr(solvers._Scaling, "snapshot", lambda st: marginals.append(st.rc.copy()) or snapshot(st))
+        n, add = prob.shape[0], np.add.reduce
+        measurements = []
+        if cfg.method == "greenkhorn":  # its own measurement gives each iterate's penalties
+            penalties = solvers._penalties
+            monkeypatch.setattr(solvers, "_penalties", lambda *a: measurements.append(penalties(*a)) or measurements[-1])
+        else:
+            pq = np.concatenate((prob.p, prob.q))
+            snapshot = solvers._Scaling.snapshot
+            monkeypatch.setattr(
+                solvers._Scaling, "snapshot", lambda st: measurements.append(solvers._penalties(st.rc, pq, n)) or snapshot(st)
+            )
         report = solve(prob, cfg)
-        pq, n = np.concatenate((prob.p, prob.q)), prob.shape[0]
-        return report, [solvers._penalties(rc, pq, n)[1:] for rc in marginals]
+        return report, [(float(add(per[:n]) + add(per[n:])), violation) for per, violation in measurements]
 
     @pytest.mark.parametrize(
-        "method, sampling", [("sinkhorn", "cyclic"), ("pinkhorn", "cyclic"), ("smd", "cyclic"), ("smd", "uniform")]
+        "method, sampling",
+        [("sinkhorn", "cyclic"), ("pinkhorn", "cyclic"), ("greenkhorn", "cyclic")]
+        + [("smd", "cyclic"), ("smd", "uniform"), ("smd", "greedy")],
     )
     # 255 and 1230 keep 256 and 1024 entries, whole chunks; 1237 is past
     # _DENSE_TRACE_LIMIT and off the every-tenth cadence
@@ -863,11 +974,12 @@ class TestTraceObjectives:
         assert sum(batches) == len(report.trace) and max(batches) <= solvers._OBJECTIVE_CHUNK
 
     @pytest.mark.parametrize("method, sampling", GREEDY_OR_ACCELERATED)
-    def test_methods_that_read_penalties_measure_every_iterate(self, monkeypatch, method, sampling):
+    def test_methods_that_read_penalties_batch_their_objectives(self, monkeypatch, method, sampling):
         batches = self.spy(monkeypatch)
         report = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method=method, sampling=sampling))
         assert report.stop_reason == "converged"
-        assert batches == []
+        assert batches and sum(batches) == len(report.trace)
+        assert max(batches) <= solvers._OBJECTIVE_CHUNK
 
 
 # rows 3 and 0 share block 0, rows 2 and 4 block 2: neither block is a
