@@ -156,6 +156,11 @@ def _violation(rc, pq, n: int) -> float:
     return float(add(gap[:n]) + add(gap[n:]))
 
 
+def _objective(rc, pq, n: int) -> float:
+    """The objective of stacked marginals, without the violation ``_penalties`` adds."""
+    return float(_totals(kl_terms(rc, pq), n))
+
+
 def _objectives(rcs, pq, n: int) -> list[float]:
     """The objective of each of a list of stacked marginals, in one ``kl_terms`` call."""
     return _totals(kl_terms(np.stack(rcs), pq), n).tolist()

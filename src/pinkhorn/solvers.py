@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
-from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _objectives, _penalties, _totals, _violation
-from .otx import as_constraint_system, gibbs_kernel
+from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _objective, _objectives, _penalties, _totals
+from .otx import _violation, as_constraint_system, gibbs_kernel
 from .penalty import ConstraintSystem
 
 __all__ = [
@@ -77,6 +77,8 @@ _OBJECTIVE_CHUNK = 128
 # between absorptions K~ is the plan divided by at most its square, so the
 # entries of K~ that carry mass stay normal doubles
 _SCALING_RANGE = 1e20
+# the smallest positive double, which stands in for an underflowed scaling's log
+_TINY = 5e-324
 # np.geterr() inside a solve
 _IGNORE_ALL = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
 
@@ -482,6 +484,53 @@ def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     return st.report(_iterate(cfg, callback, st.snapshot, lambda k: st.scale(both, eta), st.plan, st.objectives))
 
 
+def _phi(f, log_f):
+    """f log f - f + 1 elementwise, the KL term of f against 1, to a relative 1e-12.
+
+    Below |log f| = 1e-3 the direct form loses 2 eps / |log f| to
+    cancellation, and the Taylor series in log f stands in.
+    """
+    out = f * log_f
+    out -= f - 1.0
+    small = np.abs(log_f) < 1e-3
+    if small.any():
+        t = log_f[small]
+        out[small] = t * t * (0.5 + t * (1.0 / 3.0 + t * (0.125 + t / 30.0)))
+    return out
+
+
+def _scaled(z, s) -> tuple[np.ndarray, float]:
+    """(marginals of z+, KL(z+, z)) for z+ = z * outer(a, b), (a, b) = exp(s); z+ is not formed.
+
+    The marginals are (a, b) * (z @ b, a @ z), z's products with ones bit
+    for bit at s == 0.  KL(z+, z), the sum of z_ij phi(a_i b_j) with
+    phi(t) = t log t - t + 1, is one product of z with five row and five
+    column vectors, split per column as phi(a b) = b phi(a) + phi(b) +
+    (a - 1) b log b where b <= 1 and with a and b swapped where b > 1.  No
+    term then exceeds 1 + a b max(|log a|, |log b|), where one split for all
+    columns cancels terms of size b log b once b >> 1 > a.  The logs are
+    those of the rounded scalings, so this is the divergence of the z+ they
+    make.
+    """
+    n, m = z.shape
+    f = np.exp(s)
+    log_f = np.log(np.maximum(f, _TINY))  # an underflowed scaling's terms are 0 and phi(0) = 1
+    phi = _phi(f, log_f)
+    a, b = f[:n], f[n:]
+    rc = f * np.concatenate((z @ b, a @ z))
+    # KL = sum_k rows[k] @ z @ cols[k], each pair one term of the split
+    rows, cols = np.empty((5, n)), np.empty((5, m))
+    rows[0], rows[2], rows[3], rows[4] = phi[:n], a, 1.0, a - 1.0
+    np.multiply(a, log_f[:n], out=rows[1])
+    np.minimum(b, 1.0, out=cols[0])
+    np.maximum(b - 1.0, 0.0, out=cols[1])
+    np.multiply(phi[n:], b > 1.0, out=cols[2])
+    np.subtract(phi[n:], cols[2], out=cols[3])
+    np.multiply(b, log_f[n:], out=cols[4])
+    np.minimum(cols[4], 0.0, out=cols[4])
+    return rc, float(np.vdot(rows, cols @ z.T))
+
+
 @_fp_ignored
 def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Accelerated Bregman proximal gradient on the penalty objective.
@@ -490,84 +539,97 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     mirror step on grad f(y) scaled by theta * L, and x is the matching
     convex combination.  grad f(y) is log(r/p) on row i plus log(c/q) on
     column j, one stacked vector ``g`` of y's row and column sums, so the
-    mirror step scales the rows and columns of z and the linear term of the
-    bound comes from the marginals.  theta follows the accelerated recursion
-    (1 - theta') / theta'^2 = 1 / theta^2.  L is adapted by backtracking:
-    doubled until the local upper bound
+    mirror step scales the rows and columns of z by f = exp(-g / (theta L)).
+    theta follows the accelerated recursion (1 - theta') / theta'^2 =
+    1 / theta^2.  L is adapted by backtracking: doubled until the ABPG bound
+    with exponent 2 (Hanzely, Richtarik and Xiao, arXiv:1808.03045)
 
-        f(x_new) <= f(y) + <grad f(y), x_new - y> + L * KL(x_new, y)
+        f(x_new) <= f(y) + <grad f(y), x_new - y> + theta^2 L KL(z_new, z)
 
-    holds, halved again after success.  When the objective would increase,
-    theta resets to 1 and the step is retaken from x (function-value
-    restart), which makes the recorded objective non-increasing.
+    holds, halved again after success.  A bound test reads marginals only
+    and forms no n x m array: y's and x_new's are convex combinations of
+    x's and z's, and z_new's and KL(z_new, z) come from ``_scaled``.  x and
+    z are formed once per accepted step, their marginals stored as the
+    products with ones that ``_scaled`` takes at f == 1, so a null step
+    reproduces them bit for bit.  When the objective would increase, theta
+    resets to 1 and the step is retaken from x (function-value restart),
+    which makes the recorded objective non-increasing.  A violation within
+    tol is measured again on the plan's own sums before the run may stop
+    ``converged``.
     """
     st = _Scaling(problem)
     x = z = st.K
     n, pq = st.n, st.pq
+    ones = np.ones(pq.size)
     theta = 1.0
     L = 2.0 if cfg.eta is None else 1.0 / float(cfg.eta)
     l_floor = 1e-6
     max_doublings = 80
 
-    def measured(rc) -> tuple[float, float]:
-        """(objective, l1 violation) of stacked marginals."""
-        per, violation = _penalties(rc, pq, n)
-        return float(_totals(per, n)), violation
+    def sums(mat) -> np.ndarray:
+        """Row then column sums of a plan, as ``_scaled`` takes them at f == 1."""
+        return np.concatenate((mat @ ones[n:], ones[:n] @ mat))
 
-    def try_step(zc, th, lc):
-        """Backtracked accelerated step from x; returns (x_new, z_new, L, (objective, violation)) or None."""
-        # sums and products below commute with the expressions they stand
-        # for, (1 - th) x + th z and z * outer(...), so the bits are theirs
-        x_part = (1.0 - th) * x
-        y = th * zc
-        y += x_part
-        rc_y = _marginals(y)
+    def try_step(zc, rc_zc, th, lc):
+        """Backtracked accelerated step from x; returns (s, x_new's marginals, L, objective) or None."""
+        rc_xpart = (1.0 - th) * rc_x
+        rc_y = th * rc_zc + rc_xpart
         if not rc_y.all():
             return None  # an empty row or column: log(rc_y / pq) is -inf there
-        fy = measured(rc_y)[0]
+        obj_y = _objective(rc_y, pq, n)
         g = np.log(rc_y / pq)
         for _ in range(max_doublings):
-            # zero entries of z stay zero; inf * 0 in the outer product is
-            # NaN, which the test below rejects with the overflows
-            f = np.exp(-g / (th * lc))
-            z_new = np.outer(f[:n], f[n:])
-            z_new *= zc
-            if not z_new.max() < np.inf:
-                lc *= 2.0
-                continue
-            x_new = th * z_new
-            x_new += x_part
-            rc_new = _marginals(x_new)
-            m_new = measured(rc_new)
-            bound = fy + float(g @ (rc_new - rc_y)) + lc * float(np.sum(kl_terms(x_new, y)))
-            # slack is relative to the objective scale: an absolute slack
-            # would let a too-small L pass once f is tiny, and the collapsed
-            # L then makes every later step overshoot
-            if m_new[0] <= bound + 1e-9 * max(fy, m_new[0]):
-                return x_new, z_new, lc, m_new
+            s = g / (-th * lc)
+            rc_z_new, kl = _scaled(zc, s)
+            # an overflowing scaling gives inf or NaN marginals, which fail here
+            if rc_z_new.max() < np.inf:
+                rc_new = th * rc_z_new + rc_xpart
+                obj_new = _objective(rc_new, pq, n)
+                bound = obj_y + float(g @ (rc_new - rc_y)) + th * th * lc * kl
+                # slack is relative to the objective scale: an absolute slack
+                # would let a too-small L pass once f is tiny, and the collapsed
+                # L then makes every later step overshoot
+                if obj_new <= bound + 1e-9 * max(obj_y, obj_new):
+                    return s, rc_new, lc, obj_new
             lc *= 2.0
         return None
 
-    mx = measured(st.rc)  # x's objective and violation
+    rc_x = rc_z = sums(x)
+    mx = (_objective(rc_x, pq, n), _violation(rc_x, pq, n))  # x's objective and violation
+
+    def measure() -> tuple[float, float]:
+        objective, violation = mx
+        if violation <= cfg.tol:  # confirm on the plan's own sums
+            violation = _violation(_marginals(x), pq, n)
+        return objective, violation
 
     def step(k: int) -> bool:
-        nonlocal x, z, mx, theta, L
-        for theta, zc in ((theta, z), (1.0, x)):  # the second pass is the restart
-            nxt = try_step(zc, theta, L)
+        nonlocal x, z, rc_x, rc_z, mx, theta, L
+        for theta, zc, rc_zc in ((theta, z, rc_z), (1.0, x, rc_x)):  # the second pass is the restart
+            nxt = try_step(zc, rc_zc, theta, L)
             if nxt is None:
                 return False
-            x_new, z_new, L, m_new = nxt
-            if m_new[0] <= mx[0]:
+            s, rc_new, L, obj_new = nxt
+            if obj_new <= mx[0]:
                 break
         else:
-            # numerical floor: hold x and its objective, keep the z progress
-            x_new, m_new = x, mx
-        x, z, mx = x_new, z_new, m_new
+            rc_new = None  # numerical floor: hold x and its objective, keep the z progress
+        f = np.exp(s)
+        z_new = zc * f[:n, None]
+        z_new *= f[n:]
+        rc_z_new = sums(z_new)
+        if not rc_z_new.max() < np.inf:
+            return False
+        z, rc_z = z_new, rc_z_new
+        if rc_new is not None:
+            x_new = theta * z
+            x_new += (1.0 - theta) * x
+            x, rc_x, mx = x_new, sums(x_new), (obj_new, _violation(rc_new, pq, n))
         L = max(L / 2.0, l_floor)
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
         return True
 
-    run = _iterate(cfg, callback, lambda: mx, step, lambda: x.copy(), list)
+    run = _iterate(cfg, callback, measure, step, lambda: x.copy(), list)
     return SolveReport(final_iterate=x, **run)
 
 

@@ -86,13 +86,13 @@ def test_greenkhorn_measures_penalties_once_per_iteration():
 def test_acc_pinkhorn_measures_each_objective_with_one_kl_call(monkeypatch):
     tracing = _load_tracing()
     evaluations = []
-    penalties = pinkhorn.solvers._penalties
+    objective = pinkhorn.solvers._objective
 
     def counting(*args):
         evaluations.append(args)
-        return penalties(*args)
+        return objective(*args)
 
-    monkeypatch.setattr(pinkhorn.solvers, "_penalties", counting)
+    monkeypatch.setattr(pinkhorn.solvers, "_objective", counting)
     tracer = tracing.Tracer(pinkhorn)
     tracer.install()
     try:
@@ -106,7 +106,9 @@ def test_acc_pinkhorn_measures_each_objective_with_one_kl_call(monkeypatch):
     assert report.stop_reason == "converged"
     totals = tracer.layer_totals()
     assert tracer.iterations["solvers.acc_pinkhorn"] == report.iterations
-    # the start, then f(y) once per attempted step and f(x_new) once per bound test
+    # the start, then f(y) once per attempted step and f(x_new) once per bound
+    # test, all on marginals; the bound's KL(z_new, z) takes no kl_terms call
     assert len(evaluations) > report.iterations + 1
     assert totals["otx.kl_terms"]["calls"] == len(evaluations)
+    assert totals["kernel.kl_terms"]["calls"] == 0
     assert totals["kernel.log_sum_exp"]["calls"] == 0

@@ -1,6 +1,7 @@
 """Solver family: mirror-descent core, matrix-scaling methods, telemetry."""
 
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -565,14 +566,14 @@ class TestAccPinkhorn:
     @pytest.mark.parametrize(
         "seed, tol, first_held, held_to_end, violation",
         [
-            # from iteration 114 on, exp(-g / (theta L)) rounds to 1, so each
-            # step is a null step (z_new == x) whose restart is accepted: x
-            # repeats without the floor being reached
-            (1, 1e-15, 114, True, 1.5e-15),
-            # from iteration 111 on, some steps raise the objective both
+            # from iteration 138 on, neither the step nor its restart lowers
+            # the objective, so every step holds x until max_iter; without
+            # that hold the objective rises four times
+            (2, 1e-15, 138, True, 1.39e-15),
+            # from iteration 99 on, some steps raise the objective both
             # directly and after the restart, so they keep x and its
-            # penalties; without that hold the objective rises once
-            (0, 1e-16, 111, False, 4.0e-16),
+            # objective; without that hold the objective rises 68 times
+            (0, 1e-16, 99, False, 2.36e-16),
         ],
     )
     def test_numerical_floor_holds_x(self, seed, tol, first_held, held_to_end, violation):
@@ -609,6 +610,67 @@ class TestAccPinkhorn:
             report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn"))
         assert report.stop_reason == "numeric_failure"
         assert report.iterations == 0
+
+
+    @pytest.mark.parametrize(
+        "seed, case, width",
+        [(0, "random", 1.0), (1, "near_null", 1e-12), (2, "wide", 50.0), (3, "zero_entries", 3.0)],
+    )
+    def test_marginal_kl_matches_dense(self, seed, case, width):
+        # _scaled's KL(z_new, z) and marginals from matrix-vector products
+        # against the dense z_new; near-null steps against a 60-digit sum,
+        # since kl_terms of the rounded z_new keeps only about 3 digits there
+        rng = np.random.default_rng(seed)
+        for n, m in [(1, 7), (6, 1), (5, 8), (9, 6)]:
+            zc = rng.random((n, m)) * np.exp(rng.normal(0.0, 3.0, (n, m)))
+            s = rng.uniform(-width, width, n + m)
+            if case == "zero_entries":  # the hard cloud's blocks: off-block entries underflowed to zero
+                zc[: n // 2, m // 2 :] = 0.0
+                zc[n // 2 :, : m // 2] = 0.0
+            if case == "wide" and n > 1:  # rows scaled down, columns up: a << 1 << b
+                s = np.concatenate((rng.uniform(-width, -0.6 * width, n), rng.uniform(0.6 * width, width, m)))
+            f = np.exp(s)
+            z_new = zc * f[:n, None] * f[None, n:]
+            rc, kl = solvers._scaled(zc, s)
+            ref = _exact_kl(zc, f) if case == "near_null" else float(np.sum(kl_terms(z_new, zc)))
+            assert kl > 0.0
+            assert abs(kl - ref) <= max(1e-10 * ref, 1e-300), (n, m, kl, ref)
+            np.testing.assert_allclose(rc, np.concatenate((z_new.sum(axis=1), z_new.sum(axis=0))), rtol=1e-13)
+
+    def test_null_step_reproduces_the_sums_with_ones(self):
+        zc = np.random.default_rng(5).random((4, 7))
+        rc, kl = solvers._scaled(zc, np.zeros(11))
+        np.testing.assert_array_equal(rc, np.concatenate((zc @ np.ones(7), np.ones(4) @ zc)))
+        assert kl == 0.0
+
+    @pytest.mark.parametrize(
+        "problem, tol, max_iter",
+        # the criterion-4 grid
+        [
+            (random_ot(np.random.default_rng(100 + 2 * i + j), n, gamma), 1e-8, 100_000)
+            for i, n in enumerate((5, 20, 50))
+            for j, gamma in enumerate((0.1, 1.0))
+        ]
+        + [
+            # at the numerical floor: seed 1 meets 1e-15 just, seed 0 never meets 1e-16
+            (random_ot(np.random.default_rng(1), 6, gamma=0.05), 1e-15, 300),
+            (random_ot(np.random.default_rng(0), 6, gamma=0.05), 1e-16, 300),
+            # without the confirmation this run stops at iteration 120 on a
+            # trace violation of 9.7e-16 from a plan at 1.1e-15
+            (random_ot(np.random.default_rng(3), 5, gamma=0.1), 1e-15, 400),
+        ],
+    )
+    def test_converged_plan_meets_tol(self, problem, tol, max_iter):
+        # a trace violation within tol is confirmed on the returned plan's
+        # own sums before the run stops converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = acc_pinkhorn(problem, SolverConfig(method="acc_pinkhorn", tol=tol, max_iter=max_iter))
+        assert report.stop_reason != "numeric_failure"
+        if report.stop_reason == "converged":
+            assert marginal_violation(problem, report.final_iterate) <= tol
+        else:
+            assert report.iterations == max_iter
 
 
 class TestFamilyIdentities:
@@ -1045,7 +1107,7 @@ def _dense_acc_pinkhorn(problem, cfg):
                 z_new = zc * np.exp(-g / (th * lc))
             if np.all(np.isfinite(z_new)) and np.all(z_new > 0.0):
                 x_new = (1.0 - th) * x + th * z_new
-                bound = f(y) + np.sum(g * (x_new - y)) + lc * np.sum(kl_terms(x_new, y))
+                bound = f(y) + np.sum(g * (x_new - y)) + th * th * lc * np.sum(kl_terms(z_new, zc))
                 if f(x_new) <= bound + 1e-9 * max(f(y), f(x_new)):
                     return x_new, z_new, lc
             lc *= 2.0
@@ -1066,6 +1128,19 @@ def _dense_acc_pinkhorn(problem, cfg):
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
         k += 1
     return x, k, "converged" if violation(x) <= cfg.tol else "max_iter", restarts
+
+
+def _exact_kl(zc, f):
+    """KL(zc * outer(f[:n], f[n:]), zc) for the given doubles, in 60-digit decimal arithmetic."""
+    n = zc.shape[0]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(0)
+        for (i, j), zij in np.ndenumerate(zc):
+            if zij > 0.0:
+                t = Decimal(f[i]) * Decimal(f[n + j])
+                total += Decimal(zij) * (t * t.ln() - t + 1)
+        return float(total)
 
 
 def _dense_block_choice(sampling, k, x, rng):
