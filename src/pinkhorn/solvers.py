@@ -107,8 +107,9 @@ class SolverConfig:
             raise ValueError(
                 f"unknown sampling {self.sampling!r}; expected one of {SAMPLINGS}"
             )
-        if self.eta is not None and not self.eta > 0.0:
-            raise ValueError("eta must be positive (or None for the method default)")
+        # an infinite step would end every run at iteration 0
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite (or None for the method default)")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not hasattr(self.max_iter, "__index__"):  # no float, NaN or str
@@ -546,7 +547,11 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
 
         f(x_new) <= f(y) + <grad f(y), x_new - y> + theta^2 L KL(z_new, z)
 
-    holds, halved again after success.  A bound test reads marginals only
+    holds.  After an accepted step L is halved when neither that step nor
+    the one before had to double it, a restart counting as part of its
+    step: a run that passes every test still halves L on every step, but
+    after a doubling L is held for two steps instead of being halved
+    straight back to a value that fails.  A bound test reads marginals only
     and forms no n x m array: y's and x_new's are convex combinations of
     x's and z's, and z_new's and KL(z_new, z) come from ``_scaled``.  x and
     z are formed once per accepted step, their marginals stored as the
@@ -595,6 +600,7 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         return None
 
     rc_x = rc_z = sums(x)
+    doubled = False  # whether the last accepted step had to double L
     mx = (_objective(rc_x, pq, n), _violation(rc_x, pq, n))  # x's objective and violation
 
     def measure() -> tuple[float, float]:
@@ -604,7 +610,8 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         return objective, violation
 
     def step(k: int) -> bool:
-        nonlocal x, z, rc_x, rc_z, mx, theta, L
+        nonlocal x, z, rc_x, rc_z, mx, theta, L, doubled
+        l_start = L
         for theta, zc, rc_zc in ((theta, z, rc_z), (1.0, x, rc_x)):  # the second pass is the restart
             nxt = try_step(zc, rc_zc, theta, L)
             if nxt is None:
@@ -625,7 +632,10 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             x_new = theta * z
             x_new += (1.0 - theta) * x
             x, rc_x, mx = x_new, sums(x_new), (obj_new, _violation(rc_new, pq, n))
-        L = max(L / 2.0, l_floor)
+        # halving after every step sends L back into a failing test about every other step
+        doubled, doubled_before = L > l_start, doubled
+        if not (doubled or doubled_before):
+            L = max(L / 2.0, l_floor)
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
         return True
 

@@ -614,6 +614,13 @@ class TestBenchCommand:
         if "--count" in bad:
             assert err == "error: --count must be >= 1\n"
 
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    def test_non_finite_eta_exits_1(self, capsys, eta):
+        # with an infinite step every pinkhorn run would end numeric_failure
+        # at iteration 0 and be reported as a result
+        code, out, err = run_cli(capsys, "bench", "--n", "3", "--count", "1", "--methods", "pinkhorn", "--eta", eta)
+        assert (code, out, err) == (1, "", "error: eta must be positive and finite (or None for the method default)\n")
+
 
 class TestCheckCommand:
     def test_all_pass(self, capsys):

@@ -83,6 +83,9 @@ class TestSolverConfig:
             dict(sampling="importance"),
             dict(eta=0.0),
             dict(eta=-1.0),
+            # a step of infinite length: every pinkhorn, acc_pinkhorn and smd run ends at iteration 0
+            dict(eta=float("inf")),
+            dict(eta=float("nan")),
             dict(tol=0.0),
             dict(tol=-1e-8),
             dict(max_iter=0),
@@ -563,17 +566,48 @@ class TestAccPinkhorn:
         np.testing.assert_array_equal(report.final_iterate[:2, 2:], 0.0)
         np.testing.assert_array_equal(report.final_iterate[2:, :2], 0.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_most_steps_need_one_bound_test(self, monkeypatch, seed):
+        # halving L after every accepted step sends it straight back to a
+        # value that fails, 1.86-1.93 bound tests per attempted pass here;
+        # holding L for two steps after a doubling gives 1.40-1.43
+        scaled, tests, step = solvers._scaled, [], [1]
+
+        def counting(zc, s):
+            tests.append((step[0], id(zc)))  # a restart pass scales x, not z
+            return scaled(zc, s)
+
+        monkeypatch.setattr(solvers, "_scaled", counting)
+        report = acc_pinkhorn(
+            random_ot(np.random.default_rng(seed), 30, gamma=0.05),
+            SolverConfig(method="acc_pinkhorn", tol=1e-8),
+            callback=lambda k, x: step.__setitem__(0, k + 1),
+        )
+        assert report.stop_reason == "converged"
+        assert len(tests) <= 1.5 * len(set(tests))  # per attempted pass
+
+    @pytest.mark.parametrize("seed, n, gamma, halve_always", [(0, 20, 0.1, 125), (0, 30, 0.05, 157)])
+    def test_descent_from_a_large_l(self, seed, n, gamma, halve_always):
+        # eta 1e-6 starts L at 1e6: steps that pass their first test still
+        # halve L every time, so the descent keeps the pace of halving after
+        # every step (halve_always iterations); halving at most every other
+        # step needs 182 and 227
+        prob = random_ot(np.random.default_rng(seed), n, gamma=gamma)
+        report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", eta=1e-6, tol=1e-8))
+        assert report.stop_reason == "converged"
+        assert report.iterations <= halve_always + 10
+
     @pytest.mark.parametrize(
         "seed, tol, first_held, held_to_end, violation",
         [
-            # from iteration 138 on, neither the step nor its restart lowers
+            # from iteration 100 on, neither the step nor its restart lowers
             # the objective, so every step holds x until max_iter; without
-            # that hold the objective rises four times
-            (2, 1e-15, 138, True, 1.39e-15),
-            # from iteration 99 on, some steps raise the objective both
+            # that hold the objective rises 66 times
+            (7, 1e-16, 100, True, 3.61e-16),
+            # from iteration 117 on, some steps raise the objective both
             # directly and after the restart, so they keep x and its
-            # objective; without that hold the objective rises 68 times
-            (0, 1e-16, 99, False, 2.36e-16),
+            # objective; without that hold the objective rises 25 times
+            (5, 1e-16, 117, False, 1.10e-15),
         ],
     )
     def test_numerical_floor_holds_x(self, seed, tol, first_held, held_to_end, violation):
@@ -655,9 +689,9 @@ class TestAccPinkhorn:
             # at the numerical floor: seed 1 meets 1e-15 just, seed 0 never meets 1e-16
             (random_ot(np.random.default_rng(1), 6, gamma=0.05), 1e-15, 300),
             (random_ot(np.random.default_rng(0), 6, gamma=0.05), 1e-16, 300),
-            # without the confirmation this run stops at iteration 120 on a
-            # trace violation of 9.7e-16 from a plan at 1.1e-15
-            (random_ot(np.random.default_rng(3), 5, gamma=0.1), 1e-15, 400),
+            # without the confirmation this run stops at iteration 75 on a
+            # trace violation of 8.9e-16 from a plan at 1.1e-15
+            (random_ot(np.random.default_rng(6), 5, gamma=0.1), 1e-15, 400),
         ],
     )
     def test_converged_plan_meets_tol(self, problem, tol, max_iter):
@@ -1114,6 +1148,7 @@ def _dense_acc_pinkhorn(problem, cfg):
         return None
 
     k = restarts = 0
+    doubled = False
     while violation(x) > cfg.tol and k < cfg.max_iter:
         nxt = try_step(z, theta, L)
         if nxt is not None and f(nxt[0]) > f(x):
@@ -1123,8 +1158,11 @@ def _dense_acc_pinkhorn(problem, cfg):
                 nxt = (x, *nxt[1:])  # numerical floor: hold x
         if nxt is None:
             return x, k, "numeric_failure", restarts
+        # halve L after the second step in a row that kept it (restart included)
+        doubled, doubled_before = nxt[2] > L, doubled
         x, z, L = nxt
-        L = max(L / 2.0, 1e-6)
+        if not (doubled or doubled_before):
+            L = max(L / 2.0, 1e-6)
         theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
         k += 1
     return x, k, "converged" if violation(x) <= cfg.tol else "max_iter", restarts
