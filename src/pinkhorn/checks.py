@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import bregman_div, grad_conjugate, grad_mirror
+from .kernel import bregman_div
 from .oracle import fd_gradient, prox_1d_numeric
-from .otx import OTProblem
+from .otx import OTProblem, gibbs_kernel
 from .penalty import ConstraintSystem, eval_fi, grad_fi
 from .projection import (
     Hyperplane,
@@ -21,7 +21,7 @@ from .projection import (
     project_binary,
     project_general,
 )
-from .solvers import SolverConfig, pinkhorn, sinkhorn, solve
+from .solvers import SolverConfig, greenkhorn, pinkhorn, sinkhorn, solve, solve_smd
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -46,20 +46,6 @@ def _random_row(rng, d: int, binary: bool) -> Hyperplane:
     idx = rng.choice(d, size=k, replace=False)
     vals = np.ones(k) if binary else rng.uniform(0.2, 3.0, k)
     return Hyperplane(indices=idx, values=vals, b=float(rng.uniform(0.5, 3.0)))
-
-
-def _check_mirror_duality(rng) -> CheckResult:
-    tol = 1e-12
-    worst = 0.0
-    for _ in range(50):
-        x = rng.uniform(1e-3, 50.0, int(rng.integers(1, 12)))
-        back = grad_conjugate(grad_mirror(x))
-        worst = max(worst, float(np.max(np.abs(back - x) / x)))
-    return CheckResult(
-        "mirror_duality",
-        worst <= tol,
-        f"max rel err of exp(log(x)) vs x: {worst:.3e} (tol {tol:.1e})",
-    )
 
 
 def _check_gradients(rng) -> CheckResult:
@@ -147,6 +133,29 @@ def _check_equivalence(rng) -> CheckResult:
     )
 
 
+def _check_greenkhorn_smd(rng) -> CheckResult:
+    # greenkhorn is greedy SMD on the singleton blocks of the marginal system
+    tol = 1e-15
+    worst = 0.0
+    same = True
+    for _ in range(3):
+        n, m = (int(k) for k in rng.integers(4, 13, size=2))
+        problem = _random_problem(rng, n, m, gamma=float(10.0 ** rng.uniform(-1.0, 0.0)))
+        marginals = np.vstack((np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))))
+        system = ConstraintSystem.from_dense(marginals, np.concatenate((problem.p, problem.q)))
+        x0 = np.exp(gibbs_kernel(problem)).ravel()
+        green = greenkhorn(problem, SolverConfig(method="greenkhorn", tol=1e-9))
+        smd = solve_smd(system, x0, SolverConfig(method="smd", sampling="greedy", tol=1e-9))
+        same = same and green.stop_reason == smd.stop_reason and green.selected == smd.selected
+        worst = max(worst, float(np.max(np.abs(green.final_iterate - smd.final_iterate.reshape(n, m)))))
+    return CheckResult(
+        "greenkhorn_greedy_smd_equivalence",
+        same and worst <= tol,
+        f"stop reasons and selections {'agree' if same else 'differ'}; "
+        f"max plan gap over 3 instances: {worst:.3e} (tol {tol:.1e})",
+    )
+
+
 def _check_pinkhorn_descent(rng) -> CheckResult:
     tol = 1e-12
     worst = -np.inf
@@ -183,10 +192,10 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     """Run the full invariant suite; order and names are stable."""
     rng = np.random.default_rng(seed)
     return [
-        _check_mirror_duality(rng),
         _check_gradients(rng),
         _check_projections(rng),
         _check_equivalence(rng),
+        _check_greenkhorn_smd(rng),
         _check_pinkhorn_descent(rng),
         _check_prox(rng),
     ]

@@ -273,6 +273,8 @@ def cmd_bench(args) -> int:
             raise CliInputError(f"unknown method {m!r}; expected one of {METHODS}")
     if not methods:
         raise CliInputError("--methods is empty")
+    # built before the first instance is drawn, so a bad --seed or --eta is an input error
+    configs = [(method, _solver_config(args, method=method)) for method in methods]
     rng = np.random.default_rng(args.seed)
     lines = ["instance,method,iterations,final_violation,time_ms"]
     for instance in range(args.count):
@@ -280,8 +282,7 @@ def cmd_bench(args) -> int:
             problem = _random_problem(rng, args.n, gamma=args.gamma)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
-        for method in methods:
-            cfg = _solver_config(args, method=method)
+        for method, cfg in configs:
             report = solve(problem, cfg)
             last = report.trace[-1]
             lines.append(
@@ -298,6 +299,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise CliInputError("seed must be a nonnegative integer")
     results = run_checks(seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -12,12 +12,10 @@ import numpy as np
 
 __all__ = [
     "as_positive_vector",
-    "as_positive_matrix",
     "kl_terms",
     "kl_div",
     "mirror_map",
     "grad_mirror",
-    "grad_conjugate",
     "bregman_div",
     "log_sum_exp",
 ]
@@ -37,20 +35,6 @@ def as_positive_vector(x) -> np.ndarray:
     if np.any(v <= 0.0):
         raise ValueError("vector entries must be strictly positive")
     return v
-
-
-def as_positive_matrix(x) -> np.ndarray:
-    """Return ``x`` as a 2-D float64 array after checking finiteness and positivity."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of shape {m.shape}")
-    if m.size == 0:
-        raise ValueError("expected a matrix with at least one entry")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    if np.any(m <= 0.0):
-        raise ValueError("matrix entries must be strictly positive")
-    return m
 
 
 def _check_same_shape(x: np.ndarray, y: np.ndarray) -> None:
@@ -112,27 +96,6 @@ def mirror_map(x) -> float:
 def grad_mirror(x) -> np.ndarray:
     """Gradient of the entropy map: elementwise log."""
     return np.log(as_positive_vector(x))
-
-
-def grad_conjugate(g) -> np.ndarray:
-    """Gradient of the convex conjugate of the entropy map: elementwise exp.
-
-    Inverts :func:`grad_mirror`, so ``grad_conjugate(grad_mirror(x)) == x``.
-    Raises ``OverflowError`` when some exp(g_i) is not representable.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim == 0:
-        g = g.reshape(1)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("expected a nonempty vector")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("vector entries must be finite")
-    with np.errstate(over="ignore"):
-        out = np.exp(g)
-    if np.any(np.isinf(out)):
-        i = int(np.argmax(np.isinf(out)))
-        raise OverflowError(f"exp overflows at index {i} (input {g[i]!r})")
-    return out
 
 
 def bregman_div(x, y) -> float:

@@ -4,9 +4,9 @@ An instance holds a cost matrix, a regularization strength ``gamma`` and
 positive marginals.  The unconstrained optimum of the regularized objective
 is the Gibbs kernel exp(-C/gamma); solving the problem means KL-projecting
 that kernel onto the row/column marginal constraints.  This module supplies
-the kernel, plan reconstruction from dual potentials, objective and cost
-evaluation, the equivalent constraint-system view, and post-hoc rounding of
-nearly feasible plans.
+the kernel, plan reconstruction from dual potentials, cost evaluation, the
+equivalent constraint-system view, and post-hoc rounding of nearly feasible
+plans.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import as_positive_matrix, as_positive_vector, kl_terms
+from .kernel import as_positive_vector, kl_terms
 from .penalty import ConstraintSystem
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "gibbs_kernel",
     "plan_from_potentials",
     "transport_cost",
-    "ot_objective",
     "marginal_violation",
     "as_constraint_system",
     "round_to_feasible",
@@ -164,19 +163,6 @@ def _objective(rc, pq, n: int) -> float:
 def _objectives(rcs, pq, n: int) -> list[float]:
     """The objective of each of a list of stacked marginals, in one ``kl_terms`` call."""
     return _totals(kl_terms(np.stack(rcs), pq), n).tolist()
-
-
-def ot_objective(problem: OTProblem, plan) -> float:
-    """KL penalty objective of a positive plan: row part plus column part.
-
-    Zero exactly at feasible plans, and identical to evaluating the penalty
-    objective on the equivalent constraint system.
-    """
-    plan = as_positive_matrix(plan)
-    if plan.shape != problem.shape:
-        raise ValueError(f"plan shape {plan.shape} does not match cost {problem.shape}")
-    per = kl_terms(_marginals(plan), np.concatenate((problem.p, problem.q)))
-    return float(_totals(per, problem.shape[0]))
 
 
 def marginal_violation(problem: OTProblem, plan) -> float:

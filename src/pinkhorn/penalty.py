@@ -24,7 +24,6 @@ __all__ = [
     "eval_fi",
     "grad_fi",
     "eval_f",
-    "rel_smooth_constant",
 ]
 
 
@@ -235,12 +234,3 @@ def eval_f(system: ConstraintSystem, x) -> Residual:
         l1_violation=float(np.sum(np.abs(s - b))),
         objective=float(per.sum()),
     )
-
-
-def rel_smooth_constant(system: ConstraintSystem, i: int) -> float:
-    """Relative-smoothness constant of f_i with respect to the entropy map.
-
-    max_j a_ij, which is 1 for a 0/1 row.  The general bound follows from
-    Cauchy-Schwarz: (sum_j a_j v_j)^2 / <a,x> <= max_j a_j * sum_j v_j^2/x_j.
-    """
-    return float(system._entries(i)[1].max())

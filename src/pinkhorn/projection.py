@@ -119,7 +119,7 @@ def project_general(x, h: Hyperplane, tol: float = 1e-12) -> np.ndarray:
     step when it is < 0.
     """
     x = as_positive_vector(x)
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     a = h.values
     xs = x[h.indices]

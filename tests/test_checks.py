@@ -1,12 +1,12 @@
 """Self-check suite used by the CLI check command."""
 
-from pinkhorn import CheckResult, checks, run_checks
+from pinkhorn import CheckResult, checks, run_checks, sinkhorn
 
 EXPECTED_NAMES = [
-    "mirror_duality",
     "gradient_finite_difference",
     "projection_geometry",
     "sinkhorn_smd_equivalence",
+    "greenkhorn_greedy_smd_equivalence",
     "pinkhorn_descent",
     "prox_closed_form",
 ]
@@ -38,3 +38,12 @@ def test_a_failing_check_is_reported(monkeypatch):
     monkeypatch.setattr(checks, "_check_prox", lambda rng: CheckResult("prox_closed_form", False, "forced"))
     results = run_checks(seed=0)
     assert any(not r.passed for r in results)
+
+
+def test_greenkhorn_check_fails_when_greenkhorn_is_not_greedy_smd(monkeypatch):
+    # a sinkhorn report selects no constraints and stops at another plan
+    monkeypatch.setattr(checks, "greenkhorn", lambda problem, cfg: sinkhorn(problem, cfg))
+    results = {r.name: r for r in run_checks(seed=0)}
+    assert not results["greenkhorn_greedy_smd_equivalence"].passed
+    assert "differ" in results["greenkhorn_greedy_smd_equivalence"].detail
+    assert all(r.passed for name, r in results.items() if name != "greenkhorn_greedy_smd_equivalence")

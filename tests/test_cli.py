@@ -604,6 +604,7 @@ class TestBenchCommand:
             ["--n", "3", "--gamma", "0"],
             ["--n", "3", "--count", "0"],
             ["--n", "3", "--count", "-2"],
+            ["--n", "3", "--seed", "-1"],
         ],
     )
     def test_bad_instance_arguments_are_input_errors(self, capsys, bad):
@@ -636,6 +637,10 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check")
         assert code == 1
         assert "FAIL" in out
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: seed must be a nonnegative integer\n")
 
 
 def declared_console_script(name):

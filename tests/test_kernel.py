@@ -7,10 +7,8 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from pinkhorn import (
-    as_positive_matrix,
     as_positive_vector,
     bregman_div,
-    grad_conjugate,
     grad_mirror,
     kl_div,
     log_sum_exp,
@@ -33,14 +31,6 @@ def test_as_positive_vector_rejects_nonpositive_and_nonfinite(bad):
 def test_as_positive_vector_rejects_matrix_input():
     with pytest.raises(ValueError):
         as_positive_vector([[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_as_positive_matrix_rejects_vector_and_bad_entries():
-    np.testing.assert_array_equal(as_positive_matrix([[1.0, 2.0]]), [[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        as_positive_matrix([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        as_positive_matrix([[1.0, 0.0]])
 
 
 def test_kl_div_known_values():
@@ -187,21 +177,6 @@ def test_mirror_map_and_gradients():
     x = np.array([1.0, np.e])
     assert mirror_map(x) == pytest.approx(-1.0, abs=1e-12)
     np.testing.assert_allclose(grad_mirror(x), [0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(grad_conjugate([0.0, 1.0]), [1.0, np.e], rtol=1e-15)
-
-
-def test_mirror_duality_roundtrip():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        x = rng.uniform(1e-4, 100.0, 7)
-        np.testing.assert_allclose(grad_conjugate(grad_mirror(x)), x, rtol=1e-12)
-        g = rng.uniform(-5.0, 5.0, 7)
-        np.testing.assert_allclose(grad_mirror(grad_conjugate(g)), g, rtol=1e-12, atol=1e-12)
-
-
-def test_grad_conjugate_overflow_raises():
-    with pytest.raises(OverflowError):
-        grad_conjugate([0.0, 1000.0])
 
 
 def test_bregman_div_equals_kl_div():

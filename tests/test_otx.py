@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from pinkhorn import (
+    METHODS,
     OTProblem,
     Potentials,
+    SolverConfig,
     as_constraint_system,
     eval_f,
     gibbs_kernel,
     marginal_violation,
-    ot_objective,
     plan_from_potentials,
     round_to_feasible,
+    solve,
     transport_cost,
 )
 from pinkhorn.kernel import kl_terms
@@ -127,30 +129,39 @@ class TestObjectives:
         with pytest.raises(ValueError):
             transport_cost(prob, np.ones((3, 3)))
 
-    def test_ot_objective_known_value(self):
+    def test_objective_known_value(self):
         # all-ones plan: each of the four marginal constraints contributes
         # 2 log 4 - 2 + 0.5, so the total is 8 log 4 - 6
-        prob = toy_problem()
+        system = as_constraint_system(toy_problem())
         expected = 8.0 * np.log(4.0) - 6.0
-        assert ot_objective(prob, np.ones((2, 2))) == pytest.approx(expected, rel=1e-12)
+        assert eval_f(system, np.ones(4)).objective == pytest.approx(expected, rel=1e-12)
+        # a zero cost starts every solve at the all-ones plan
+        zero_cost = OTProblem(cost=np.zeros((2, 2)), gamma=1.0, p=[0.5, 0.5], q=[0.5, 0.5])
+        for method in METHODS:
+            report = solve(zero_cost, SolverConfig(method=method, max_iter=1))
+            assert report.trace[0].objective == pytest.approx(expected, rel=1e-12)
 
-    def test_ot_objective_zero_at_feasible(self):
-        prob = toy_problem()
-        assert ot_objective(prob, [[0.25, 0.25], [0.25, 0.25]]) == 0.0
+    def test_objective_zero_at_feasible(self):
+        system = as_constraint_system(toy_problem())
+        assert eval_f(system, np.full(4, 0.25)).objective == 0.0
 
-    def test_ot_objective_matches_penalty(self):
+    def test_start_objective_matches_penalty(self):
         rng = np.random.default_rng(31)
         for n in (2, 4):
-            prob = random_problem(rng, n, gamma=0.7)
-            system = as_constraint_system(prob)
             for _ in range(10):
-                plan = rng.uniform(0.01, 1.0, (n, n))
-                assert ot_objective(prob, plan) == pytest.approx(
-                    eval_f(system, plan.reshape(-1)).objective, rel=1e-12, abs=1e-14
-                )
-                # exactly the row part plus the column part, each summed on its own
-                r, c = plan.sum(axis=1), plan.sum(axis=0)
-                assert ot_objective(prob, plan) == np.sum(kl_terms(r, prob.p)) + np.sum(kl_terms(c, prob.q))
+                prob = random_problem(rng, n, gamma=float(rng.uniform(0.3, 2.0)))
+                system = as_constraint_system(prob)
+                for method in METHODS:
+                    starts = []
+                    cfg = SolverConfig(method=method, max_iter=1)
+                    report = solve(prob, cfg, callback=lambda k, pl: starts.append(pl.copy()))
+                    plan, objective = starts[0], report.trace[0].objective
+                    assert objective == pytest.approx(eval_f(system, plan.reshape(-1)).objective, rel=1e-12, abs=1e-14)
+                    # the row part plus the column part, each summed on its own, to
+                    # the last bits of the marginals each method forms
+                    r, c = plan.sum(axis=1), plan.sum(axis=0)
+                    parts = np.sum(kl_terms(r, prob.p)) + np.sum(kl_terms(c, prob.q))
+                    assert objective == pytest.approx(parts, rel=1e-15, abs=0.0)
 
     def test_marginal_violation(self):
         prob = toy_problem()

@@ -11,7 +11,6 @@ from pinkhorn import (
     eval_f,
     eval_fi,
     grad_fi,
-    rel_smooth_constant,
 )
 from pinkhorn.cli import main
 
@@ -274,14 +273,13 @@ class TestObjective:
 
 
 class TestSmoothness:
-    def test_rel_smooth_constants(self):
+    def test_block_smooth_constants(self):
+        # default blocks are singletons, so each block constant is its row's
         rows = [
             Hyperplane(indices=[0, 1], values=[1.0, 1.0], b=1.0),
             Hyperplane(indices=[0, 2], values=[0.5, 3.0], b=1.0),
         ]
         sys_ = ConstraintSystem.from_rows(rows, dimension=3)
-        assert rel_smooth_constant(sys_, 0) == 1.0
-        assert rel_smooth_constant(sys_, 1) == 3.0
         assert sys_.block_smooth_constant(0) == 1.0
         assert sys_.block_smooth_constant(1) == 3.0
         assert sys_.smooth_constant() == 4.0
@@ -297,7 +295,7 @@ class TestSmoothness:
         from pinkhorn import kl_div
 
         for i in range(2):
-            li = rel_smooth_constant(sys_, i)
+            li = sys_.block_smooth_constant(i)
             for _ in range(200):
                 x = rng.uniform(0.1, 4.0, 4)
                 y = rng.uniform(0.1, 4.0, 4)

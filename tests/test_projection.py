@@ -177,10 +177,12 @@ class TestProjectGeneral:
             z = project_general(np.array([1.0, 1e-9]), h)
         assert abs(h.dot(z) - h.b) <= 1e-11 * h.b
 
-    def test_bad_tol_rejected(self):
-        h = Hyperplane(indices=[0], values=[2.0], b=1.0)
-        with pytest.raises(ValueError):
-            project_general(np.array([1.0]), h, tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # two distinct coefficients, so a NaN tol let through would run Newton to its cap
+        h = Hyperplane(indices=[0, 1], values=[1.0, 3.0], b=2.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            project_general(np.array([1.0, 1.0]), h, tol=tol)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # two distinct coefficients so the initial guess is inexact and the

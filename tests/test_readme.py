@@ -57,6 +57,14 @@ def test_bench_rows_are_what_the_command_prints(tmp_path, monkeypatch, capsys):
     assert without_time(out.splitlines()[: len(shown)]) == without_time(shown)
 
 
+def test_check_lines_are_what_the_command_prints(tmp_path, monkeypatch, capsys):
+    code, out, [(_, shown)] = run_section("check", tmp_path, monkeypatch, capsys)
+    assert code == 0
+    name_and_status = lambda text: [line.split()[:2] for line in text.splitlines()[:-1]]
+    assert name_and_status(out) == name_and_status(shown)  # detail numbers left out
+    assert out.splitlines()[-1] == shown.splitlines()[-1] == "6/6 checks passed"
+
+
 def test_library_quickstart_prints_what_it_shows(capsys):
     """Each Python block, run in a fresh namespace, prints the output block after it."""
     blocks = re.findall(r"^```(\w*)\n(.*?)^```", section("Quickstart (library)", level=2), re.M | re.S)
