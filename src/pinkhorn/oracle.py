@@ -2,9 +2,9 @@
 
 Everything here is deliberately brute force: finite differences instead of
 analytic gradients, golden-section search plus bisection on the derivative's
-sign instead of the closed-form prox, cyclic projection runs instead of the
-fast solvers, and a by-hand closed form for a symmetric 2x2 transport
-instance.  None of it shares code paths with the quantities it validates.
+sign instead of the closed-form prox, and a by-hand closed form for a
+symmetric 2x2 transport instance.  None of it shares code paths with the
+quantities it validates.
 """
 
 from __future__ import annotations
@@ -12,19 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import as_positive_vector
-from .penalty import ConstraintSystem
-from .projection import ConvergenceError, project_binary, project_general
+from .projection import ConvergenceError
 
 __all__ = [
     "fd_gradient",
-    "reference_solve",
     "prox_1d_numeric",
     "analytic_symmetric_2x2",
 ]
 
 _FD_STEP = 1e-6  # central-difference step, relative to each coordinate
-_REF_TOL = 1e-13  # l1 violation at which reference_solve stops
-_REF_MAX_PROJECTIONS = 1_000_000  # single-row projections reference_solve may use
 _PROX_TOL = 1e-10  # width at which prox_1d_numeric's golden-section search stops
 
 
@@ -40,36 +36,6 @@ def fd_gradient(field, x) -> np.ndarray:
         lo[i] -= h
         grad[i] = (field(hi) - field(lo)) / (2.0 * h)
     return grad
-
-
-def reference_solve(system: ConstraintSystem, x0) -> np.ndarray:
-    """High-precision feasible point by cyclic exact projections onto each row.
-
-    Sweeps the constraints in index order, applying the closed-form
-    projection for 0/1 rows and the root-found projection otherwise, until
-    the l1 violation drops to ``_REF_TOL``.  The system must be feasible;
-    exceeding ``_REF_MAX_PROJECTIONS`` single projections raises
-    ConvergenceError.
-    """
-    x = as_positive_vector(x0)
-    if x.size != system.dimension:
-        raise ValueError(f"x0 has length {x.size}, expected {system.dimension}")
-    done = 0
-    while True:
-        for i, row in enumerate(system.rows):
-            if done >= _REF_MAX_PROJECTIONS:
-                raise ConvergenceError(
-                    f"reference solve used {_REF_MAX_PROJECTIONS} projections "
-                    f"without reaching violation {_REF_TOL}"
-                )
-            if row.is_binary:
-                x = project_binary(x, row)
-            else:
-                x = project_general(x, row, tol=1e-13)
-            done += 1
-            viol = float(np.abs(system.dots(x) - system.b).sum())
-            if viol <= _REF_TOL:
-                return x
 
 
 def prox_1d_numeric(x: float, c: float, eta: float) -> float:

@@ -7,13 +7,15 @@ Five methods share one telemetry and stopping contract:
   block choice).  With stepsize 1 and 0/1 rows each step is exactly the KL
   projection onto its block.
 * ``sinkhorn``: alternating row/column scaling, equivalent to ``solve_smd``
-  with cyclic sampling and stepsize 1 on the marginal constraint system.
+  with cyclic sampling on the marginal constraint system at the same
+  stepsize (1 by default; another eta over-relaxes each half-step).
 * ``greenkhorn``: same scaling updates, but each iteration picks the single
   row or column constraint with the largest KL penalty.
 * ``pinkhorn``: full-gradient mirror descent on the sum of row and column
   penalties, stepsize 1/2 by default (the objective is 2-relatively smooth).
-* ``acc_pinkhorn``: accelerated Bregman proximal gradient with backtracking
-  on the local smoothness constant and function-value restart.
+* ``acc_pinkhorn``: pinkhorn's step with Nesterov momentum on the dual
+  potentials, backtracking on its inverse stepsize and function-value
+  restart.
 
 The contract lives in one driver, ``_iterate``: it alone builds the trace,
 applies the stopping rule and the trace cadence, calls the callback, and
@@ -27,13 +29,14 @@ cyclic and uniform ``solve_smd``), the per-constraint penalties the greedy
 rules select from (``greenkhorn``, greedy ``solve_smd``), and the objective
 itself for ``acc_pinkhorn``, whose step compares them.  Each public solve
 runs with numpy's floating-point errors ignored, and each step tells from the
-values it computes whether it left the domain.  ``sinkhorn``, ``greenkhorn`` and
-``pinkhorn`` also share one scaling state, ``_Scaling``: each of their steps
-multiplies scalings by (target / marginal)^eta, a matrix-vector product on a
-stabilized kernel whose scalings are absorbed into log-domain potentials
-when they grow, with log-sum-exp kept for kernels that underflow.  Stopping
-is always on the l1 constraint violation; the objective is logged but never
-used to stop.
+values it computes whether it left the domain.  The four OT methods also
+share one scaling state, ``_Scaling``: their iterates are plans diag(a) K~
+diag(b) on a stabilized kernel whose scalings are absorbed into log-domain
+potentials when they grow, and a step multiplies scalings by (target /
+marginal)^eta, a matrix-vector product and no n x m exp, with log-sum-exp kept
+for kernels that underflow (not in ``acc_pinkhorn``).  Stopping is always on
+the l1 constraint violation; the objective is logged but never used to
+stop.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ _OBJECTIVE_CHUNK = 128
 # between absorptions K~ is the plan divided by at most its square, so the
 # entries of K~ that carry mass stay normal doubles
 _SCALING_RANGE = 1e20
-# the smallest positive double, which stands in for an underflowed scaling's log
-_TINY = 5e-324
+_LOG_RANGE = float(np.log(_SCALING_RANGE))
+# line-search doublings of L per acc_pinkhorn step before it restarts from W
+_MAX_DOUBLINGS = 80
 # np.geterr() inside a solve
 _IGNORE_ALL = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
 
@@ -87,10 +91,10 @@ _IGNORE_ALL = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid
 class SolverConfig:
     """Method selection, stepsize, sampling, and stopping parameters.
 
-    ``eta=None`` picks the method default: 1 for smd (and implicitly for
-    sinkhorn/greenkhorn, which are stepsize-1 methods by construction) and
-    1/2 for pinkhorn; for acc_pinkhorn it seeds the line search.  ``seed``
-    only matters for uniform sampling.
+    ``eta=None`` picks the method default: 1 for smd and sinkhorn (an eta
+    omega != 1 over-relaxes sinkhorn's half-steps) and 1/2 for pinkhorn;
+    for acc_pinkhorn, 1/eta is the line search's first L.  greenkhorn
+    ignores eta.  ``seed`` only matters for uniform sampling.
     """
 
     method: str = "sinkhorn"
@@ -295,10 +299,10 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
 class _Scaling:
     """The plan diag(a) K~ diag(b) of an OT problem, K~ = exp(u + logK + v).
 
-    One state for sinkhorn, greenkhorn and pinkhorn, and the start of all
-    five methods: K~ = exp(-C/gamma), divided by its largest entry (u = -max
-    logK) where an entry or a row or column sum could overflow, since a
-    constant added to C leaves the entropic plan as it is.  The potentials
+    One state for sinkhorn, greenkhorn, pinkhorn and acc_pinkhorn, and the
+    start of all five methods: K~ = exp(-C/gamma), divided by its largest
+    entry (u = -max logK) where an entry or a row or column sum could
+    overflow, since a constant added to C leaves the entropic plan as it is.  The potentials
     are (u + log a, v + log b): (u, v) are absorbed into K~, and the
     scalings (a, b) carry what changed since, so a step is a matrix-vector
     product on K~ and no exp.  Per-constraint vectors are stacked, rows
@@ -415,14 +419,17 @@ def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
 
     Odd-numbered iterations rescale rows, even-numbered ones columns, so
     each iteration matches one block of the cyclic mirror-descent view.
+    ``cfg.eta`` omega other than 1 over-relaxes each half-step to
+    a <- a (p / r)^omega (cyclic ``solve_smd`` at stepsize omega).
     Each costs one matrix-vector product on the stabilized kernel of
     ``_Scaling``; the potentials (u + log a, v + log b) are reported, and
     the dense plan is materialized from them once at the end (and for
     callbacks).
     """
     st = _Scaling(problem)
+    eta = 1.0 if cfg.eta is None else float(cfg.eta)
     rows, cols = slice(0, st.n), slice(st.n, st.pq.size)
-    run = _iterate(cfg, callback, st.snapshot, lambda k: st.scale(rows if k % 2 else cols), st.plan, st.objectives)
+    run = _iterate(cfg, callback, st.snapshot, lambda k: st.scale(rows if k % 2 else cols, eta), st.plan, st.objectives)
     return st.report(run)
 
 
@@ -485,162 +492,112 @@ def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     return st.report(_iterate(cfg, callback, st.snapshot, lambda k: st.scale(both, eta), st.plan, st.objectives))
 
 
-def _phi(f, log_f):
-    """f log f - f + 1 elementwise, the KL term of f against 1, to a relative 1e-12.
-
-    Below |log f| = 1e-3 the direct form loses 2 eps / |log f| to
-    cancellation, and the Taylor series in log f stands in.
-    """
-    out = f * log_f
-    out -= f - 1.0
-    small = np.abs(log_f) < 1e-3
-    if small.any():
-        t = log_f[small]
-        out[small] = t * t * (0.5 + t * (1.0 / 3.0 + t * (0.125 + t / 30.0)))
-    return out
-
-
-def _scaled(z, s) -> tuple[np.ndarray, float]:
-    """(marginals of z+, KL(z+, z)) for z+ = z * outer(a, b), (a, b) = exp(s); z+ is not formed.
-
-    The marginals are (a, b) * (z @ b, a @ z), z's products with ones bit
-    for bit at s == 0.  KL(z+, z), the sum of z_ij phi(a_i b_j) with
-    phi(t) = t log t - t + 1, is one product of z with five row and five
-    column vectors, split per column as phi(a b) = b phi(a) + phi(b) +
-    (a - 1) b log b where b <= 1 and with a and b swapped where b > 1.  No
-    term then exceeds 1 + a b max(|log a|, |log b|), where one split for all
-    columns cancels terms of size b log b once b >> 1 > a.  The logs are
-    those of the rounded scalings, so this is the divergence of the z+ they
-    make.
-    """
-    n, m = z.shape
-    f = np.exp(s)
-    log_f = np.log(np.maximum(f, _TINY))  # an underflowed scaling's terms are 0 and phi(0) = 1
-    phi = _phi(f, log_f)
-    a, b = f[:n], f[n:]
-    rc = f * np.concatenate((z @ b, a @ z))
-    # KL = sum_k rows[k] @ z @ cols[k], each pair one term of the split
-    rows, cols = np.empty((5, n)), np.empty((5, m))
-    rows[0], rows[2], rows[3], rows[4] = phi[:n], a, 1.0, a - 1.0
-    np.multiply(a, log_f[:n], out=rows[1])
-    np.minimum(b, 1.0, out=cols[0])
-    np.maximum(b - 1.0, 0.0, out=cols[1])
-    np.multiply(phi[n:], b > 1.0, out=cols[2])
-    np.subtract(phi[n:], cols[2], out=cols[3])
-    np.multiply(b, log_f[n:], out=cols[4])
-    np.minimum(cols[4], 0.0, out=cols[4])
-    return rc, float(np.vdot(rows, cols @ z.T))
-
-
 @_fp_ignored
 def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
-    """Accelerated Bregman proximal gradient on the penalty objective.
+    """Nesterov momentum on the potentials, with backtracking and restart.
 
-    Coupled sequences (y, z, x): y extrapolates between x and z, z takes a
-    mirror step on grad f(y) scaled by theta * L, and x is the matching
-    convex combination.  grad f(y) is log(r/p) on row i plus log(c/q) on
-    column j, one stacked vector ``g`` of y's row and column sums, so the
-    mirror step scales the rows and columns of z by f = exp(-g / (theta L)).
-    theta follows the accelerated recursion (1 - theta') / theta'^2 =
-    1 / theta^2.  L is adapted by backtracking: doubled until the ABPG bound
-    with exponent 2 (Hanzely, Richtarik and Xiao, arXiv:1808.03045)
+    The iterate is the plan exp(W_u - C/gamma + W_v) of the full potentials
+    W = w + log(ab) of ``_Scaling``, so every iterate is an entropic plan
+    diag(a) K~ diag(b).  Each step extrapolates y = W + ((t - 1) / t')
+    (W - W_prev), t' = (1 + sqrt(1 + 4 t^2)) / 2, and takes pinkhorn's
+    mirror step from y: W+ = y - g / L with g = log(rc(y) / pq), the
+    stacked log ratios of the marginals to their targets.  L is doubled
+    until the Armijo test on marginals
 
-        f(x_new) <= f(y) + <grad f(y), x_new - y> + theta^2 L KL(z_new, z)
+        f(W+) <= f(y) + <g, rc(W+) - rc(y)> / 2
 
-    holds.  After an accepted step L is halved when neither that step nor
-    the one before had to double it, a restart counting as part of its
-    step: a run that passes every test still halves L on every step, but
-    after a doubling L is held for two steps instead of being halved
-    straight back to a value that fails.  A bound test reads marginals only
-    and forms no n x m array: y's and x_new's are convex combinations of
-    x's and z's, and z_new's and KL(z_new, z) come from ``_scaled``.  x and
-    z are formed once per accepted step, their marginals stored as the
-    products with ones that ``_scaled`` takes at f == 1, so a null step
-    reproduces them bit for bit.  When the objective would increase, theta
-    resets to 1 and the step is retaken from x (function-value restart),
-    which makes the recorded objective non-increasing.  A violation within
-    tol is measured again on the plan's own sums before the run may stop
-    ``converged``.
+    holds or L reaches 2: from there on the step is a pinkhorn step within
+    the relative-smoothness bound, which never raises f(y).  After an
+    accepted step L is divided by 1.5.  A step that would raise the
+    objective above f(W) is not taken: t resets to 1 and the next step
+    starts from W (function-value restart), so the recorded objective never
+    rises.  When the rejected step had no momentum already, f is flat to
+    rounding there, and the next step starts from its W+ instead of
+    repeating it.  Marginals are f * (K~ f_b, f_a K~) with
+    f = exp(W - w), two matrix-vector products per point; a point whose
+    scalings leave the range of ``_Scaling`` is absorbed into K~.  An empty
+    row or column at y ends the run ``numeric_failure``.  A violation within
+    tol is measured again on the plan's own sums, by absorbing W, before the
+    run may stop ``converged``.
     """
     st = _Scaling(problem)
-    x = z = st.K
     n, pq = st.n, st.pq
-    ones = np.ones(pq.size)
-    theta = 1.0
     L = 2.0 if cfg.eta is None else 1.0 / float(cfg.eta)
-    l_floor = 1e-6
-    max_doublings = 80
+    t = 1.0
+    W = W_prev = st.w  # the start's scalings are 1, so its marginals are the plan's own sums
+    rc_W = st.rc
+    resume = None  # (point, marginals, objective) the next step starts from instead of W
+    obj_W = _objective(rc_W, pq, n)
 
-    def sums(mat) -> np.ndarray:
-        """Row then column sums of a plan, as ``_scaled`` takes them at f == 1."""
-        return np.concatenate((mat @ ones[n:], ones[:n] @ mat))
+    kab = np.empty(pq.size)  # buffer for K~ f_b and f_a K~
+    lo, hi = np.minimum.reduce, np.maximum.reduce
 
-    def try_step(zc, rc_zc, th, lc):
-        """Backtracked accelerated step from x; returns (s, x_new's marginals, L, objective) or None."""
-        rc_xpart = (1.0 - th) * rc_x
-        rc_y = th * rc_zc + rc_xpart
-        if not rc_y.all():
-            return None  # an empty row or column: log(rc_y / pq) is -inf there
-        obj_y = _objective(rc_y, pq, n)
-        g = np.log(rc_y / pq)
-        for _ in range(max_doublings):
-            s = g / (-th * lc)
-            rc_z_new, kl = _scaled(zc, s)
-            # an overflowing scaling gives inf or NaN marginals, which fail here
-            if rc_z_new.max() < np.inf:
-                rc_new = th * rc_z_new + rc_xpart
-                obj_new = _objective(rc_new, pq, n)
-                bound = obj_y + float(g @ (rc_new - rc_y)) + th * th * lc * kl
-                # slack is relative to the objective scale: an absolute slack
-                # would let a too-small L pass once f is tiny, and the collapsed
-                # L then makes every later step overshoot
-                if obj_new <= bound + 1e-9 * max(obj_y, obj_new):
-                    return s, rc_new, lc, obj_new
-            lc *= 2.0
-        return None
-
-    rc_x = rc_z = sums(x)
-    doubled = False  # whether the last accepted step had to double L
-    mx = (_objective(rc_x, pq, n), _violation(rc_x, pq, n))  # x's objective and violation
+    def marginals(x):
+        """The stacked marginals of the plan at potentials x, or None where it leaves the domain."""
+        d = x - st.w
+        if hi(np.abs(d)) <= _LOG_RANGE:
+            f = np.exp(d, out=d)
+            np.matmul(st.K, f[n:], out=kab[:n])
+            np.matmul(f[:n], st.K, out=kab[n:])
+            rc = f * kab
+        elif st._absorb(x):
+            rc = st.rc
+        else:
+            return None
+        return rc if 0.0 < lo(rc) and hi(rc) < np.inf else None
 
     def measure() -> tuple[float, float]:
-        objective, violation = mx
-        if violation <= cfg.tol:  # confirm on the plan's own sums
-            violation = _violation(_marginals(x), pq, n)
-        return objective, violation
+        nonlocal rc_W
+        violation = _violation(rc_W, pq, n)
+        if violation <= cfg.tol and st.w is not W:  # confirm on the plan's own sums, kept for W
+            if not st._absorb(W):
+                return obj_W, np.inf
+            rc_W = st.rc
+            violation = _violation(rc_W, pq, n)
+        return obj_W, violation
 
     def step(k: int) -> bool:
-        nonlocal x, z, rc_x, rc_z, mx, theta, L, doubled
-        l_start = L
-        for theta, zc, rc_zc in ((theta, z, rc_z), (1.0, x, rc_x)):  # the second pass is the restart
-            nxt = try_step(zc, rc_zc, theta, L)
-            if nxt is None:
-                return False
-            s, rc_new, L, obj_new = nxt
-            if obj_new <= mx[0]:
-                break
+        nonlocal W, W_prev, rc_W, obj_W, t, L, resume
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        if resume is not None:
+            (y, rc_y, obj_y), resume = resume, None
+        elif t == 1.0:
+            y, rc_y, obj_y = W, rc_W, obj_W
         else:
-            rc_new = None  # numerical floor: hold x and its objective, keep the z progress
-        f = np.exp(s)
-        z_new = zc * f[:n, None]
-        z_new *= f[n:]
-        rc_z_new = sums(z_new)
-        if not rc_z_new.max() < np.inf:
-            return False
-        z, rc_z = z_new, rc_z_new
-        if rc_new is not None:
-            x_new = theta * z
-            x_new += (1.0 - theta) * x
-            x, rc_x, mx = x_new, sums(x_new), (obj_new, _violation(rc_new, pq, n))
-        # halving after every step sends L back into a failing test about every other step
-        doubled, doubled_before = L > l_start, doubled
-        if not (doubled or doubled_before):
-            L = max(L / 2.0, l_floor)
-        theta = theta * (np.sqrt(theta * theta + 4.0) - theta) / 2.0
+            y = W + ((t - 1.0) / t_next) * (W - W_prev)
+            rc_y = marginals(y)
+            obj_y = None if rc_y is None else _objective(rc_y, pq, n)
+        if rc_y is None or not rc_y.all():
+            return False  # an empty row or column: log(rc_y / pq) is -inf there
+        g = np.log(rc_y / pq)
+        for _ in range(_MAX_DOUBLINGS):
+            w_new = y - g / L
+            rc_new = marginals(w_new)
+            if rc_new is not None:
+                obj_new = _objective(rc_new, pq, n)
+                # from L = 2 on, f is 2-relatively smooth and the step cannot raise f(y)
+                if L >= 2.0 or obj_new <= obj_y + 0.5 * float(g @ (rc_new - rc_y)):
+                    break
+            L *= 2.0
+        else:  # no trial point has marginals in range: restart from W
+            W_prev, t = W, 1.0
+            return True
+        if obj_new > obj_W:  # restart: hold W and drop the momentum
+            if t == 1.0:  # no momentum to drop: f is flat to rounding here, so go on from w_new
+                resume = w_new, rc_new, obj_new
+            W_prev, t = W, 1.0
+            return True
+        W_prev, W, rc_W, obj_W, t = W, w_new, rc_new, obj_new, t_next
+        L /= 1.5
         return True
 
-    run = _iterate(cfg, callback, measure, step, lambda: x.copy(), list)
-    return SolveReport(final_iterate=x, **run)
+    def current() -> np.ndarray:
+        return np.exp(W[:n, None] + st.logK + W[None, n:])
+
+    run = _iterate(cfg, callback, measure, step, current, list)
+    if st.w is not W:  # report W itself as the potentials, and its plan as current() builds it
+        st._absorb(W)
+    return st.report(run)
 
 
 @_fp_ignored

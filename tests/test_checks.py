@@ -1,6 +1,6 @@
 """Self-check suite used by the CLI check command."""
 
-from pinkhorn import CheckResult, checks, run_checks, sinkhorn
+from pinkhorn import CheckResult, SolverConfig, checks, run_checks, sinkhorn
 
 EXPECTED_NAMES = [
     "gradient_finite_difference",
@@ -47,3 +47,14 @@ def test_greenkhorn_check_fails_when_greenkhorn_is_not_greedy_smd(monkeypatch):
     assert not results["greenkhorn_greedy_smd_equivalence"].passed
     assert "differ" in results["greenkhorn_greedy_smd_equivalence"].detail
     assert all(r.passed for name, r in results.items() if name != "greenkhorn_greedy_smd_equivalence")
+
+
+def test_equivalence_check_fails_when_sinkhorn_ignores_eta(monkeypatch):
+    # plain sinkhorn still matches smd at eta 1, but not at eta 1.5
+    def plain(problem, cfg, callback=None):
+        return sinkhorn(problem, SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter), callback)
+
+    monkeypatch.setattr(checks, "sinkhorn", plain)
+    results = {r.name: r for r in run_checks(seed=0)}
+    assert not results["sinkhorn_smd_equivalence"].passed
+    assert all(r.passed for name, r in results.items() if name != "sinkhorn_smd_equivalence")

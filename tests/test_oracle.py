@@ -1,21 +1,14 @@
-"""Independent verification helpers: finite differences, reference solves, prox."""
+"""Independent verification helpers: finite differences, prox, closed-form 2x2."""
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from pinkhorn import (
-    ConstraintSystem,
-    ConvergenceError,
-    Hyperplane,
     analytic_symmetric_2x2,
     bregman_prox_entropy_linear,
-    eval_f,
     fd_gradient,
     prox_1d_numeric,
-    reference_solve,
 )
-from pinkhorn import oracle
 
 
 class TestFdGradient:
@@ -42,64 +35,6 @@ class TestFdGradient:
         np.testing.assert_allclose(
             fd_gradient(f, x), np.log(x) + 1.0, rtol=1e-5
         )
-
-
-class TestReferenceSolve:
-    def toy(self):
-        rows = [
-            Hyperplane(indices=[0, 1], values=[1.0, 1.0], b=2.0),
-            Hyperplane(indices=[1, 2], values=[1.0, 1.0], b=2.0),
-        ]
-        return ConstraintSystem.from_rows(rows, dimension=3)
-
-    def test_reaches_tight_feasibility(self):
-        sys_ = self.toy()
-        x = reference_solve(sys_, [1.0, 3.0, 5.0])
-        assert eval_f(sys_, x).l1_violation <= 1e-13
-        assert np.all(x > 0.0)
-
-    def test_matches_constrained_kl_minimizer(self):
-        # independent oracle: general-purpose NLP solver on the same
-        # KL-projection problem
-        sys_ = self.toy()
-        x0 = np.array([1.0, 3.0, 5.0])
-        x = reference_solve(sys_, x0)
-
-        def kl_to_x0(v):
-            return float(np.sum(v * np.log(v / x0) - v + x0))
-
-        res = minimize(
-            kl_to_x0,
-            x0=np.array([1.0, 1.0, 1.0]),
-            method="SLSQP",
-            bounds=[(1e-9, None)] * 3,
-            constraints=[
-                {"type": "eq", "fun": lambda v: v[0] + v[1] - 2.0},
-                {"type": "eq", "fun": lambda v: v[1] + v[2] - 2.0},
-            ],
-            options={"ftol": 1e-14, "maxiter": 500},
-        )
-        assert res.success
-        np.testing.assert_allclose(x, res.x, rtol=1e-6)
-
-    def test_general_rows(self):
-        rows = [
-            Hyperplane(indices=[0, 1], values=[2.0, 0.5], b=1.5),
-            Hyperplane(indices=[2], values=[3.0], b=2.0),
-        ]
-        sys_ = ConstraintSystem.from_rows(rows, dimension=3)
-        x = reference_solve(sys_, [0.4, 0.8, 1.2])
-        assert eval_f(sys_, x).l1_violation <= 1e-13
-
-    def test_projection_budget_enforced(self, monkeypatch):
-        sys_ = self.toy()
-        monkeypatch.setattr(oracle, "_REF_MAX_PROJECTIONS", 2)
-        with pytest.raises(ConvergenceError):
-            reference_solve(sys_, [1.0, 3.0, 5.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            reference_solve(self.toy(), [1.0, 2.0])
 
 
 class TestProx1dNumeric:
