@@ -67,7 +67,7 @@ def kl_terms(x, y) -> np.ndarray:
         # even underflow to zero), and y (1 - r + r log r) = y to an ulp;
         # when x/y overflows, t is inf and so is the term.  At x = y = 0,
         # 0/0 is NaN and the term is 0 (0 log 0 = 0)
-        if not h.min() > -np.inf:
+        if not np.minimum.reduce(h, axis=None) > -np.inf:
             np.copyto(h, np.where(x == y, 0.0, np.abs(t)), where=~(h > -np.inf))
         # each term is mathematically >= 0; shave off negative roundoff.  A
         # term beyond the double range is inf

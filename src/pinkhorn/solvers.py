@@ -74,8 +74,11 @@ SAMPLINGS = ("cyclic", "uniform", "greedy")
 # trace keeps every iteration up to this point, then every tenth and the last
 _DENSE_TRACE_LIMIT = 1000
 # deferred trace objectives are evaluated this many kept entries at a time,
-# which bounds the snapshots a run holds
+# or fewer where their snapshots would pass _OBJECTIVE_BYTES: a chunk and the
+# kl_terms temporaries of its size then stay below glibc's mmap threshold
+# (128 KB), above which every batch would map, and page-fault in, fresh memory
 _OBJECTIVE_CHUNK = 128
+_OBJECTIVE_BYTES = 64 * 1024
 # scalings beyond this factor either way are absorbed into the potentials;
 # between absorptions K~ is the plan divided by at most its square, so the
 # entries of K~ that carry mass stay normal doubles
@@ -85,6 +88,8 @@ _LOG_RANGE = float(np.log(_SCALING_RANGE))
 _MAX_DOUBLINGS = 80
 # np.geterr() inside a solve
 _IGNORE_ALL = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+# the ufunc reductions, without the Python layer of ndarray.min and .max
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -181,9 +186,11 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
     ``measure()`` gives (snapshot, l1 violation) at the current iterate: the
     snapshot is a value no later step writes, and ``objectives(snapshots)``
     gives the objectives of a list of them in one call, made once per
-    ``_OBJECTIVE_CHUNK`` kept trace entries and once at the end; ``time_ms``
-    leaves that time out.  The run stops ``converged`` once the violation
-    is at most ``cfg.tol``, else ``max_iter`` at ``cfg.max_iter``.
+    ``_OBJECTIVE_CHUNK`` kept trace entries or ``_OBJECTIVE_BYTES`` of
+    snapshots, whichever comes first (sized from the first snapshot, a float
+    counting 8 bytes), and once at the end; ``time_ms`` leaves that time
+    out.  The run stops ``converged`` once the violation is at most
+    ``cfg.tol``, else ``max_iter`` at ``cfg.max_iter``.
     ``step(k)`` moves to iterate k, ``current()`` is what the callback gets
     after every iterate.  A step that would leave the domain returns False
     without changing the iterate, and the run ends ``numeric_failure`` at
@@ -208,6 +215,7 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
     k, keep = 0, True
     last = entry(0)
     kept.append(last)
+    chunk = min(_OBJECTIVE_CHUNK, max(1, _OBJECTIVE_BYTES // getattr(last[1], "nbytes", 8)))
     if callback is not None:
         callback(0, current())
     while True:
@@ -225,7 +233,7 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
         keep = k <= _DENSE_TRACE_LIMIT or k % 10 == 0
         if keep:
             kept.append(last)
-            if len(kept) == _OBJECTIVE_CHUNK:
+            if len(kept) == chunk:
                 flush()
         if callback is not None:
             callback(k, current())
@@ -283,10 +291,10 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         else:
             block = int(system.block_sums(per).argmax())
         system.block_update(x, s, block, eta, z, work)
-        if not (0.0 < z.min() and z.max() < np.inf):
+        if not (0.0 < _min(z) and _max(z) < np.inf):
             return False
         s_new = system.dots(z)
-        if not s_new.min() > 0.0:
+        if not _min(s_new) > 0.0:
             return False
         x, z, s = z, x, s_new
         selected.append(block)
@@ -328,7 +336,7 @@ class _Scaling:
         """Make this the state unless the plan's marginals overflow or all vanish."""
         rc = ab * kab
         # the start is always committed, even an underflowed kernel's zero marginals
-        if self.rc is not None and not 0.0 < rc.max() < np.inf:
+        if self.rc is not None and not 0.0 < _max(rc) < np.inf:
             return False
         self.w, self.K, self.ab, self.kab, self.rc = w, K, ab, kab, rc
         return True
@@ -343,8 +351,10 @@ class _Scaling:
 
     def refresh(self) -> None:
         """Recompute K~ b and K~^T a from K~, dropping incremental drift."""
-        n = self.n
-        self._commit(self.w, self.K, self.ab, np.concatenate((self.K @ self.ab[n:], self.K.T @ self.ab[:n])))
+        n, kab = self.n, np.empty(self.ab.size)
+        np.dot(self.K, self.ab[n:], out=kab[:n])
+        np.dot(self.ab[:n], self.K, out=kab[n:])
+        self._commit(self.w, self.K, self.ab, kab)
 
     def scale(self, at, eta: float = 1.0) -> bool:
         """Multiply the scalings at ``at`` by (target / marginal)^eta.
@@ -361,7 +371,7 @@ class _Scaling:
             new = self.pq[at] / self.kab[at]
         else:
             new = self.ab[at] * (self.pq[at] / self.rc[at]) ** eta
-        lo, hi = (new, new) if single else (new.min(), new.max())
+        lo, hi = (new, new) if single else (_min(new), _max(new))
         if not (1.0 / _SCALING_RANGE <= lo and hi <= _SCALING_RANGE):
             if 0.0 < lo and hi < np.inf:
                 ab = self.ab.copy()
@@ -372,9 +382,9 @@ class _Scaling:
         ab[at] = new
         if not single:
             if at.start < n:
-                np.matmul(self.K.T, ab[:n], out=kab[n:])
+                np.dot(ab[:n], self.K, out=kab[n:])
             if at.stop > n:
-                np.matmul(self.K, ab[n:], out=kab[:n])
+                np.dot(self.K, ab[n:], out=kab[:n])
         elif at < n:
             kab[n:] += (new - self.ab[at]) * self.K[at]
         else:
@@ -464,7 +474,7 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
         i = int(per.argmax())
         if not st.scale(i):
             return False
-        if k % 500 == 0 or st.kab.min() < 0.0:
+        if k % 500 == 0 or _min(st.kab) < 0.0:
             st.refresh()
         selected.append(i)
         return True
@@ -530,21 +540,20 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     obj_W = _objective(rc_W, pq, n)
 
     kab = np.empty(pq.size)  # buffer for K~ f_b and f_a K~
-    lo, hi = np.minimum.reduce, np.maximum.reduce
 
     def marginals(x):
         """The stacked marginals of the plan at potentials x, or None where it leaves the domain."""
         d = x - st.w
-        if hi(np.abs(d)) <= _LOG_RANGE:
+        if _max(np.abs(d)) <= _LOG_RANGE:
             f = np.exp(d, out=d)
-            np.matmul(st.K, f[n:], out=kab[:n])
-            np.matmul(f[:n], st.K, out=kab[n:])
+            np.dot(st.K, f[n:], out=kab[:n])
+            np.dot(f[:n], st.K, out=kab[n:])
             rc = f * kab
         elif st._absorb(x):
             rc = st.rc
         else:
             return None
-        return rc if 0.0 < lo(rc) and hi(rc) < np.inf else None
+        return rc if 0.0 < _min(rc) and _max(rc) < np.inf else None
 
     def measure() -> tuple[float, float]:
         nonlocal rc_W

@@ -40,10 +40,11 @@ def toy_system():
     return ConstraintSystem.from_rows(rows, dimension=3)
 
 
-def random_ot(rng, n, gamma=1.0):
+def random_ot(rng, n, gamma=1.0, m=None):
+    m = n if m is None else m
     p = rng.uniform(0.5, 1.5, n)
-    q = rng.uniform(0.5, 1.5, n)
-    return OTProblem(cost=rng.random((n, n)), gamma=gamma, p=p / p.sum(), q=q / q.sum())
+    q = rng.uniform(0.5, 1.5, m)
+    return OTProblem(cost=rng.random((n, m)), gamma=gamma, p=p / p.sum(), q=q / q.sum())
 
 
 def point_cloud(rng, n, gamma):
@@ -354,6 +355,38 @@ class TestSinkhorn:
         assert calls == []
 
 
+class TestScalingProducts:
+    """``_Scaling.scale`` keeps (K~ b, K~^T a) as the matrix products give them, in both orientations."""
+
+    @staticmethod
+    def assert_products(st, rows=True, cols=True):
+        n, K, ab = st.n, st.K, st.ab
+        if rows:
+            np.testing.assert_array_equal(st.kab[:n], K @ ab[n:], strict=True)
+        if cols:
+            np.testing.assert_array_equal(st.kab[n:], K.T @ ab[:n], strict=True)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3)])
+    def test_row_then_column_step(self, shape):
+        st = solvers._Scaling(random_ot(np.random.default_rng(sum(shape)), shape[0], m=shape[1]))
+        n, size = st.n, st.pq.size
+        w = st.w
+        assert st.scale(slice(0, n))
+        self.assert_products(st, rows=False)  # a row step recomputes K~^T a only
+        assert st.scale(slice(n, size))
+        self.assert_products(st)
+        assert st.w is w  # no absorption: the products are the incremental ones
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3)])
+    def test_both_sides_and_refresh(self, shape):
+        st = solvers._Scaling(random_ot(np.random.default_rng(10 + sum(shape)), shape[0], m=shape[1]))
+        assert st.scale(slice(0, st.pq.size), 0.5)
+        self.assert_products(st)
+        st.ab = st.ab * np.linspace(0.5, 1.5, st.ab.size)
+        st.refresh()
+        self.assert_products(st)
+
+
 class TestGreenkhorn:
     def test_first_selection_is_worst_row(self):
         prob = OTProblem(cost=np.zeros((2, 2)), gamma=1.0, p=[0.75, 0.25], q=[0.5, 0.5])
@@ -606,13 +639,13 @@ class TestAccPinkhorn:
             # at the numerical floor: seed 1 meets 1e-15 just, seed 0 never meets 1e-16
             (random_ot(np.random.default_rng(1), 6, gamma=0.05), 1e-15, 300),
             (random_ot(np.random.default_rng(0), 6, gamma=0.05), 1e-16, 300),
-            # without the confirmation this run stops at iteration 75 on a
-            # trace violation of 8.9e-16 from a plan at 1.1e-15
+            # this run stops converged at iteration 96 on a plan at 6.4e-16,
+            # and its one confirmation holds
             (random_ot(np.random.default_rng(6), 5, gamma=0.1), 1e-15, 400),
-            # without the confirmation the next two runs stop on a trace
-            # violation within 1e-15 from a plan outside it; the last one's
-            # first confirmation fails, and the step after it holds that
-            # plan, which must not then stop on the refuted trace violation
+            # without the confirmation the next three runs stop on a trace
+            # violation within 1e-15 from a plan outside it (1.2e-15,
+            # 1.1e-15 and 1.1e-15); with it, each one's first confirmation
+            # fails and the run goes on to a plan within tol
             (random_ot(np.random.default_rng(45), 6, gamma=0.05), 1e-15, 400),
             (random_ot(np.random.default_rng(44), 20, gamma=0.1), 1e-15, 400),
             (random_ot(np.random.default_rng(56), 5, gamma=0.1), 1e-15, 400),
@@ -973,14 +1006,16 @@ class TestTraceObjectives:
     """Every method evaluates its trace objectives in batches."""
 
     @staticmethod
-    def spy(monkeypatch):
-        """Record the size of every batch of objectives ``_iterate`` evaluates."""
+    def spy(monkeypatch, nbytes=None):
+        """Record the size of every batch of objectives ``_iterate`` evaluates, and into ``nbytes`` its snapshots' bytes."""
         batches = []
         iterate = solvers._iterate
 
         def wrapped(cfg, callback, measure, step, current, objectives):
             def counted(snapshots):
                 batches.append(len(snapshots))
+                if nbytes is not None:
+                    nbytes.append(sum(s.nbytes for s in snapshots))
                 return objectives(snapshots)
 
             return iterate(cfg, callback, measure, step, current, counted)
@@ -1034,6 +1069,23 @@ class TestTraceObjectives:
         assert max(batches) <= solvers._OBJECTIVE_CHUNK
         if max_iter != 1237:
             assert batches == [solvers._OBJECTIVE_CHUNK] * (len(report.trace) // solvers._OBJECTIVE_CHUNK)
+
+    @pytest.mark.parametrize("method, sampling", [("sinkhorn", "cyclic"), ("pinkhorn", "cyclic"), ("smd", "cyclic"), ("smd", "uniform")])
+    def test_chunks_are_bounded_by_bytes(self, monkeypatch, method, sampling):
+        # a 60x80 snapshot holds 140 doubles, 1120 bytes: 58 of them fill
+        # 64 KB before 128 entries are kept
+        assert solvers._OBJECTIVE_BYTES == 64 * 1024
+        nbytes = []
+        batches = self.spy(monkeypatch, nbytes)
+        prob = random_ot(np.random.default_rng(50), 60, gamma=0.1, m=80)
+        cfg = SolverConfig(method=method, sampling=sampling, tol=1e-300, max_iter=200, seed=3)
+        report, ref = self.measured(monkeypatch, prob, cfg)
+        assert (report.stop_reason, report.iterations) == ("max_iter", 200)
+        assert [e.iteration for e in report.trace] == list(range(201))
+        for e in report.trace:
+            assert (e.objective, e.violation_l1) == ref[e.iteration]
+        assert batches == [58, 58, 58, 27]
+        assert max(nbytes) <= solvers._OBJECTIVE_BYTES and max(batches) <= solvers._OBJECTIVE_CHUNK
 
     @pytest.mark.parametrize("eta, stop", [(None, "converged"), (2.0, "numeric_failure")])
     def test_pinkhorn_objectives_at_a_stop_before_max_iter(self, monkeypatch, eta, stop):
