@@ -79,8 +79,16 @@ class ConstraintSystem:
 
         self.b = b[self._pos]
         self._log_b = np.log(b)  # per stored row, for block_update
+        self._row_len = np.diff(self._indptr)  # entries per stored row
         self._block_ptr = np.concatenate(([0], np.cumsum(sizes)))
         self._block_of = block_id[self._pos]
+        # the fast paths of dots and block_update: all coefficients 1 (a step
+        # scales each row's support by one factor), rows stored in the
+        # caller's order (no gather of per-row vectors), and blocks whose
+        # disjoint rows hold d entries, so they cover every coordinate
+        self._unit = bool(np.all(self._data == 1.0))
+        self._in_order = bool(np.all(order == np.arange(b.size)))
+        self._covers = (np.diff(self._indptr[self._block_ptr]) == d).tolist()
 
     @classmethod
     def from_rows(cls, rows, dimension: int, blocks=None) -> "ConstraintSystem":
@@ -115,8 +123,8 @@ class ConstraintSystem:
         return self._indices[span], self._data[span]
 
     def _workspace(self) -> np.ndarray:
-        """Scratch floats for ``block_update``: one per nonzero."""
-        return np.empty(self._data.size)
+        """Scratch floats for ``block_update``: one per nonzero, none where every coefficient is 1."""
+        return np.empty(0 if self._unit else self._data.size)
 
     def _check_length(self, x) -> None:
         if np.shape(x) != (self.dimension,):
@@ -127,8 +135,10 @@ class ConstraintSystem:
         self._check_length(x)
         # a plain gather: numpy buffers a take into ``out=`` whose indices it must check
         prod = np.take(x, self._indices)
-        np.multiply(prod, self._data, out=prod)
-        return np.add.reduceat(prod, self._indptr[:-1])[self._pos]
+        if not self._unit:
+            np.multiply(prod, self._data, out=prod)
+        dots = np.add.reduceat(prod, self._indptr[:-1])
+        return dots if self._in_order else dots[self._pos]
 
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """Sum of a per-row vector ``v`` over each block."""
@@ -141,23 +151,33 @@ class ConstraintSystem:
 
         ``s`` holds the inner products at x; gradients of every row in the
         block are taken at the same x, and disjoint supports keep the row
-        factors independent.  ``out`` is not ``x`` itself, and ``work`` is a
-        ``_workspace()`` buffer.  An exp that overflows or underflows gives
-        inf or 0 in ``out``, which the caller rejects.
+        factors independent.  On 0/1 rows the factor is one exp per row,
+        (b_i/s_i)^eta, and a block that covers every coordinate is written
+        into ``out`` with no copy of x.  ``out`` is not ``x`` itself, and
+        ``work`` is a ``_workspace()`` buffer.  An exp that overflows or
+        underflows gives inf or 0 in ``out``, which the caller rejects.
         """
         p0, p1 = self._block_ptr[block], self._block_ptr[block + 1]
         lo, hi = self._indptr[p0], self._indptr[p1]
-        row_fac = self._log_b[p0:p1] - np.log(s[self._row[p0:p1]])
-        log_fac = work[: hi - lo]
-        np.multiply(self._data[lo:hi], eta, out=log_fac)
-        row_len = self._indptr[p0 + 1 : p1 + 1] - self._indptr[p0:p1]
-        np.multiply(log_fac, row_fac.repeat(row_len), out=log_fac)
+        row_fac = self._log_b[p0:p1] - np.log(s[p0:p1] if self._in_order else s[self._row[p0:p1]])
+        row_len = self._row_len[p0:p1]
+        if self._unit:  # exp(eta r_i) is exp((a_ij eta) r_i) bit for bit, as a_ij = 1
+            np.multiply(row_fac, eta, out=row_fac)
+            fac = np.exp(row_fac, out=row_fac).repeat(row_len)
+        else:
+            fac = work[: hi - lo]
+            np.multiply(self._data[lo:hi], eta, out=fac)
+            np.multiply(fac, row_fac.repeat(row_len), out=fac)
+            np.exp(fac, out=fac)
         idx = self._indices[lo:hi]
-        gathered = x.take(idx)
-        np.copyto(out, x)
-        np.exp(log_fac, out=log_fac)
-        np.multiply(gathered, log_fac, out=gathered)
-        out[idx] = gathered
+        if self._covers[block]:  # every coordinate moves: no copy of x, no gather
+            out[idx] = fac
+            np.multiply(out, x, out=out)
+        else:
+            gathered = x.take(idx)
+            np.copyto(out, x)
+            np.multiply(gathered, fac, out=gathered)
+            out[idx] = gathered
 
     def block_smooth_constant(self, k: int) -> float:
         """Relative-smoothness constant of one block's summed penalty.

@@ -310,7 +310,9 @@ class _Scaling:
     One state for sinkhorn, greenkhorn, pinkhorn and acc_pinkhorn, and the
     start of all five methods: K~ = exp(-C/gamma), divided by its largest
     entry (u = -max logK) where an entry or a row or column sum could
-    overflow, since a constant added to C leaves the entropic plan as it is.  The potentials
+    overflow, and with each row, then each column, that underflows to all
+    zeros lifted to a largest entry of 1, since a constant added to C, or to
+    one row or column of it, leaves the entropic plan as it is.  The potentials
     are (u + log a, v + log b): (u, v) are absorbed into K~, and the
     scalings (a, b) carry what changed since, so a step is a matrix-vector
     product on K~ and no exp.  Per-constraint vectors are stacked, rows
@@ -331,6 +333,22 @@ class _Scaling:
         top = self.logK.max()
         u = -top if top + np.log(max(problem.shape)) > _EXP_OVERFLOW else 0.0
         self._absorb(np.repeat([u, 0.0], problem.shape))
+        if not _min(self.kab) > 0.0:
+            self._lift()
+
+    def _lift(self) -> None:
+        """Lift each row, then each column, of K~ that has no mass to a largest entry of 1.
+
+        The lift goes into the potentials (u, then v), and rows and columns
+        that keep mass keep theirs; raising a column cannot empty a row.
+        """
+        n, w = self.n, self.w.copy()
+        rows = self.kab[:n] == 0.0
+        w[:n][rows] = -self.logK[rows].max(axis=1)
+        top = (w[:n, None] + self.logK).max(axis=0)
+        cols = np.exp(top) == 0.0  # K~'s column is exp(top) at its largest
+        w[n:][cols] = -top[cols]
+        self._absorb(w)
 
     def _commit(self, w, K, ab, kab) -> bool:
         """Make this the state unless the plan's marginals overflow or all vanish."""
@@ -613,9 +631,10 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
 def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
     """Dispatch on ``cfg.method``; ``smd`` runs on the marginal constraint system.
 
-    When ``_Scaling``'s start has an underflowed entry, ``smd`` has no
-    positive start: the run ends at iteration 0 there, ``converged`` if it
-    already meets tol and ``numeric_failure`` otherwise.
+    When ``_Scaling``'s start keeps an underflowed entry (its lift raises
+    only rows and columns that underflow entirely), ``smd`` has no positive
+    start: the run ends at iteration 0 there, ``converged`` if it already
+    meets tol and ``numeric_failure`` otherwise.
     """
     if cfg.method == "sinkhorn":
         return sinkhorn(problem, cfg, callback)

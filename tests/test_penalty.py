@@ -137,6 +137,70 @@ _INVALID_BUILDS["triplets column >= dimension"] = (
 )
 
 
+def _ot_system():
+    rng = np.random.default_rng(23)
+    p, q = rng.uniform(0.5, 1.5, 4), rng.uniform(0.5, 1.5, 7)
+    return as_constraint_system(OTProblem(cost=rng.random((4, 7)), gamma=0.5, p=p / p.sum(), q=q / q.sum()))
+
+
+# rows 0 and 1 of a 0/1 system cover 3 of its 5 coordinates; listed as
+# [[2], [1, 0]] the rows are stored out of the caller's order
+UNIT_PARTIAL = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
+
+
+def _per_entry_step(system, x, s, block, eta):
+    """x_j * exp((a_ij * eta) * r_i) on each row i of the block, r_i = log b_i - log s_i; x elsewhere."""
+    z = x.copy()
+    for i in system.blocks[block]:
+        row = system.rows[i]
+        r = np.log(row.b) - np.log(s[i])
+        z[row.indices] = x[row.indices] * np.exp((row.values * eta) * r)
+    return z
+
+
+class TestBlockUpdate:
+    """block_update and dots equal the per-entry formulas bit for bit, on every path."""
+
+    @pytest.mark.parametrize(
+        "build, covers",
+        [
+            # the marginal system: rows, then columns, each block covering x
+            pytest.param(_ot_system, [True, True], id="ot"),
+            pytest.param(
+                lambda: ConstraintSystem.from_dense(UNIT_PARTIAL, [2.0, 1.0, 3.0], blocks=[[0, 1], [2]]),
+                [False, False],
+                id="partial",
+            ),
+            pytest.param(
+                lambda: ConstraintSystem.from_dense(UNIT_PARTIAL, [2.0, 1.0, 3.0], blocks=[[2], [1, 0]]),
+                [False, False],
+                id="partial_reordered",
+            ),
+            # general coefficients keep one exp per entry, here on a covering block
+            pytest.param(
+                lambda: ConstraintSystem.from_dense([[2.0, 0.5, 0.0], [0.0, 0.0, 3.0]], [1.0, 2.0], [[0, 1]]),
+                [True],
+                id="general_covering",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 1.5])
+    def test_matches_per_entry_formula(self, build, covers, eta):
+        system = build()
+        assert system._covers == covers
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            x = rng.uniform(0.1, 3.0, system.dimension)
+            s = system.dots(x)
+            # each row's products, summed in the order reduceat sums a segment
+            per_row = [np.add.reduceat(x[row.indices] * row.values, [0])[0] for row in system.rows]
+            assert np.array_equal(s, per_row)
+            for block in range(system.n_blocks):
+                out = np.full_like(x, np.nan)
+                system.block_update(x, s, block, eta, out, system._workspace())
+                assert np.array_equal(out, _per_entry_step(system, x, s, block, eta))
+
+
 class TestConstruction:
     @pytest.mark.parametrize("build, match", list(_INVALID_BUILDS.values()), ids=list(_INVALID_BUILDS))
     def test_rejects_invalid_input(self, build, match):

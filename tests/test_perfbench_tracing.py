@@ -83,6 +83,36 @@ def test_greenkhorn_measures_penalties_once_per_iteration():
     assert totals["kernel.kl_terms"]["calls"] + totals["otx.kl_terms"]["calls"] == k + 2
 
 
+def test_smd_on_a_unit_block_system_counts_every_dots_call():
+    # two blocks of 0/1 rows that each cover x, as the benchmark's block
+    # systems are: block_update's one-exp-per-row path
+    rng = np.random.default_rng(7)
+    d, support = 40, 5
+    cols = np.concatenate([rng.permutation(d), rng.permutation(d)])
+    rows = np.repeat(np.arange(2 * d // support), support)
+    b = np.bincount(rows, weights=rng.uniform(0.5, 1.5, d)[cols])
+    blocks = [list(range(d // support)), list(range(d // support, 2 * d // support))]
+    x0 = np.exp(-3.0 * rng.random(d))
+    for sampling in ("greedy", "uniform"):
+        tracing = _load_tracing()
+        tracer = tracing.Tracer(pinkhorn)
+        tracer.install()
+        try:
+            system = pinkhorn.ConstraintSystem(rows, cols, np.ones(cols.size), b, d, blocks)
+            cfg = pinkhorn.SolverConfig(method="smd", sampling=sampling, tol=1e-9)
+            report = tracer.run_job(sampling, lambda: pinkhorn.solve_smd(system, x0, cfg))
+        finally:
+            tracer.uninstall()
+        assert report.stop_reason == "converged" and report.iterations > 10
+        assert system._unit and system._covers == [True, True]
+        totals = tracer.layer_totals()
+        assert tracer.iterations["solvers.smd"] == report.iterations
+        # the start, then one call per accepted step
+        assert totals["penalty.dots"]["calls"] == report.iterations + 1
+        if sampling == "greedy":  # the per-row penalties of each measurement, which the next step selects from
+            assert totals["kernel.kl_terms"]["calls"] == report.iterations + 1
+
+
 def test_acc_pinkhorn_measures_each_objective_with_one_kl_call(monkeypatch):
     tracing = _load_tracing()
     evaluations = []

@@ -601,16 +601,22 @@ class TestAccPinkhorn:
         [
             OTProblem(cost=[[800.0, 801.0], [0.0, 1.0]], gamma=1.0, p=[0.5, 0.5], q=[0.3, 0.7]),
             uniform_ot(ALL_UNDERFLOW),
+            uniform_ot(np.full((5, 5), 3.0), gamma=1e-3),
+            # column 1 underflows while both rows keep mass
+            OTProblem(cost=[[0.0, 800.0], [1.0, 801.0]], gamma=1.0, p=[0.3, 0.7], q=[0.5, 0.5]),
         ],
     )
-    def test_underflowed_row_ends_numeric_failure_without_warning(self, prob):
-        # exp(-800) underflows, so row 0 of the start has no mass and the
-        # gradient log(r / p) is undefined there
+    def test_underflowed_row_is_lifted_and_converges_without_warning(self, prob):
+        # exp(-800) underflows, so row 0 of exp(-C/gamma) has no mass and the
+        # gradient log(r / p) would be undefined there; the start lifts it
+        reference = sinkhorn(prob, SolverConfig(tol=1e-12))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn"))
-        assert report.stop_reason == "numeric_failure"
-        assert report.iterations == 0
+        assert report.stop_reason == "converged"
+        assert marginal_violation(prob, report.final_iterate) <= 1e-8
+        assert np.abs(report.final_iterate - reference.final_iterate).sum() <= 1e-7
+        np.testing.assert_array_equal(plan_from_potentials(prob, report.potentials), report.final_iterate)
 
     def test_converges_where_the_objective_is_flat_to_rounding(self):
         # at gamma 0.002 the plan is nearly a permutation: for hundreds of
@@ -788,7 +794,6 @@ class TestDispatchAndTrace:
             # the off-diagonal entries of exp(-C/gamma) underflow to zero
             ([[0.0, 1000.0], [1000.0, 0.0]], "numeric_failure"),
             ([[np.log(2.0), 1000.0], [1000.0, np.log(2.0)]], "converged"),
-            (ALL_UNDERFLOW, "numeric_failure"),
         ],
     )
     def test_smd_on_underflowed_kernel_stops_at_start(self, cost, reason):
@@ -806,6 +811,30 @@ class TestDispatchAndTrace:
         np.testing.assert_array_equal(plans[-1], kernel)
 
     @pytest.mark.parametrize(
+        "cost, gamma, axis",
+        [
+            (ALL_UNDERFLOW, 1.0, 1),
+            (np.full((5, 5), 3.0), 1e-3, 1),
+            # only column 1 underflows
+            ([[0.0, 1000.0], [0.0, 1000.5]], 1.0, 0),
+        ],
+    )
+    def test_smd_starts_from_the_lifted_kernel(self, cost, gamma, axis):
+        # whole rows (axis 1) or columns (axis 0) of exp(-C/gamma) underflow to
+        # zeros: the start lifts each one to a largest entry of 1, and cyclic
+        # smd is sinkhorn from there
+        prob = uniform_ot(cost, gamma)
+        plans = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(prob, SolverConfig(method="smd"), callback=lambda k, x: plans.append(x))
+        expected = sinkhorn(prob, SolverConfig())
+        assert report.stop_reason == "converged"
+        assert report.iterations == expected.iterations
+        np.testing.assert_array_equal(plans[0].max(axis=axis), 1.0)
+        np.testing.assert_allclose(report.final_iterate, expected.final_iterate, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
         "cost, p, q",
         [
             ([[800.0, 801.0], [0.0, 1.0]], [0.5, 0.5], [0.3, 0.7]),
@@ -815,8 +844,8 @@ class TestDispatchAndTrace:
     )
     @pytest.mark.parametrize("method", ["sinkhorn", "greenkhorn", "pinkhorn"])
     def test_scaling_methods_converge_from_underflowed_rows(self, method, cost, p, q):
-        # a row of exp(-C/gamma) is all zeros: the step that meets it is taken
-        # in log domain, and the run goes on with the rebuilt kernel
+        # a row of exp(-C/gamma) is all zeros: the start lifts it to a largest
+        # entry of 1 through its potential
         prob = OTProblem(cost=cost, gamma=1.0, p=p, q=q)
         assert not np.exp(gibbs_kernel(prob)).sum(axis=1).all()
         plans = []
@@ -1118,82 +1147,95 @@ NONCONTIG_A = np.array(
         [0.7, 0.0, 0.0, 0.0, 1.2, 1.0],
     ]
 )
+# the same supports with every coefficient 1: block_update's one-exp-per-row
+# path, on blocks that cover part of x and rows stored out of the caller's order
+NONCONTIG_01 = (NONCONTIG_A > 0.0).astype(float)
 NONCONTIG_BLOCKS = [[3, 0], [1], [2, 4]]
-NONCONTIG_B = NONCONTIG_A @ np.linspace(0.5, 1.5, 6)
 
 
-def _noncontig_dense(blocks=NONCONTIG_BLOCKS):
-    return ConstraintSystem.from_dense(NONCONTIG_A, NONCONTIG_B, blocks=blocks)
+def _target(a):
+    return a @ np.linspace(0.5, 1.5, 6)
 
 
-def _noncontig_triplets(blocks=NONCONTIG_BLOCKS):
-    rows, cols = np.nonzero(NONCONTIG_A)
-    trips = list(zip(rows.tolist(), cols.tolist(), NONCONTIG_A[rows, cols].tolist()))
-    return ConstraintSystem.from_triplets(trips, NONCONTIG_B, dimension=6, blocks=blocks)
+def _noncontig_dense(a, blocks=NONCONTIG_BLOCKS):
+    return ConstraintSystem.from_dense(a, _target(a), blocks=blocks)
 
 
-def _noncontig_rows(blocks=NONCONTIG_BLOCKS):
-    rows = [Hyperplane(indices=np.arange(6), values=a, b=b) for a, b in zip(NONCONTIG_A, NONCONTIG_B)]
+def _noncontig_triplets(a, blocks=NONCONTIG_BLOCKS):
+    rows, cols = np.nonzero(a)
+    trips = list(zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()))
+    return ConstraintSystem.from_triplets(trips, _target(a), dimension=6, blocks=blocks)
+
+
+def _noncontig_rows(a, blocks=NONCONTIG_BLOCKS):
+    rows = [Hyperplane(indices=np.arange(6), values=ai, b=b) for ai, b in zip(a, _target(a))]
     return ConstraintSystem.from_rows(rows, dimension=6, blocks=blocks)
 
 
-def _dense_block_step(x, block, eta):
-    s = NONCONTIG_A @ x
+def _dense_block_step(a, x, block, eta):
+    s, b = a @ x, _target(a)
     z = x.copy()
     for i in NONCONTIG_BLOCKS[block]:
-        z = z * (NONCONTIG_B[i] / s[i]) ** (eta * NONCONTIG_A[i])
+        z = z * (b[i] / s[i]) ** (eta * a[i])
     return z
 
 
-def _dense_block_choice(sampling, k, x, rng):
+def _dense_block_choice(a, sampling, k, x, rng):
     if sampling == "cyclic":
         return (k - 1) % len(NONCONTIG_BLOCKS)
     if sampling == "uniform":
         return int(rng.integers(len(NONCONTIG_BLOCKS)))
-    s = NONCONTIG_A @ x
-    per = s * np.log(s / NONCONTIG_B) - s + NONCONTIG_B
+    s, b = a @ x, _target(a)
+    per = s * np.log(s / b) - s + b
     return int(np.argmax([per[blk].sum() for blk in NONCONTIG_BLOCKS]))
 
 
-@pytest.mark.parametrize("build", [_noncontig_dense, _noncontig_triplets, _noncontig_rows])
+@pytest.mark.parametrize(
+    "build, a",
+    [
+        pytest.param(build, NONCONTIG_A, id=build.__name__)
+        for build in (_noncontig_dense, _noncontig_triplets, _noncontig_rows)
+    ]
+    + [pytest.param(_noncontig_dense, NONCONTIG_01, id="_noncontig_dense_01")],
+)
 class TestNonContiguousBlocks:
-    def test_layout_keeps_caller_numbering(self, build):
-        system = build()
+    def test_layout_keeps_caller_numbering(self, build, a):
+        system = build(a)
         assert system.blocks == NONCONTIG_BLOCKS
-        np.testing.assert_array_equal(system.b, NONCONTIG_B)
+        np.testing.assert_array_equal(system.b, _target(a))
         for i, row in enumerate(system.rows):
-            np.testing.assert_array_equal(row.indices, np.nonzero(NONCONTIG_A[i])[0])
-            np.testing.assert_array_equal(row.values, NONCONTIG_A[i][NONCONTIG_A[i] > 0])
+            np.testing.assert_array_equal(row.indices, np.nonzero(a[i])[0])
+            np.testing.assert_array_equal(row.values, a[i][a[i] > 0])
 
-    def test_dots_and_steps_match_dense_reference(self, build):
-        system = build()
+    def test_dots_and_steps_match_dense_reference(self, build, a):
+        system = build(a)
         # the blocks listed from ``block`` on, so a first cyclic step takes ``block``
-        rotated = [build(NONCONTIG_BLOCKS[block:] + NONCONTIG_BLOCKS[:block]) for block in range(3)]
+        rotated = [build(a, NONCONTIG_BLOCKS[block:] + NONCONTIG_BLOCKS[:block]) for block in range(3)]
         rng = np.random.default_rng(60)
         for _ in range(5):
             x = rng.uniform(0.1, 3.0, 6)
-            np.testing.assert_allclose(system.dots(x), NONCONTIG_A @ x, rtol=1e-14)
+            np.testing.assert_allclose(system.dots(x), a @ x, rtol=1e-14)
             for block in range(3):
                 np.testing.assert_allclose(
-                    one_step(rotated[block], x, 0.7), _dense_block_step(x, block, 0.7), rtol=1e-12
+                    one_step(rotated[block], x, 0.7), _dense_block_step(a, x, block, 0.7), rtol=1e-12
                 )
 
-    def test_smooth_constants_match_dense_reference(self, build):
-        system = build()
-        per_block = [NONCONTIG_A[blk].max() for blk in NONCONTIG_BLOCKS]
+    def test_smooth_constants_match_dense_reference(self, build, a):
+        system = build(a)
+        per_block = [a[blk].max() for blk in NONCONTIG_BLOCKS]
         assert [system.block_smooth_constant(k) for k in range(3)] == per_block
         assert system.smooth_constant() == sum(per_block)
 
     @pytest.mark.parametrize("sampling", ["cyclic", "uniform", "greedy"])
-    def test_solve_smd_matches_dense_reference(self, build, sampling):
+    def test_solve_smd_matches_dense_reference(self, build, a, sampling):
         x0 = np.linspace(2.0, 0.5, 6)
         cfg = SolverConfig(method="smd", sampling=sampling, eta=0.5, tol=1e-300, max_iter=40, seed=3)
-        report = solve_smd(build(), x0, cfg)
+        report = solve_smd(build(a), x0, cfg)
         rng = np.random.default_rng(3)
         x, chosen = x0, []
         for k in range(1, 41):
-            chosen.append(_dense_block_choice(sampling, k, x, rng))
-            x = _dense_block_step(x, chosen[-1], 0.5)
+            chosen.append(_dense_block_choice(a, sampling, k, x, rng))
+            x = _dense_block_step(a, x, chosen[-1], 0.5)
         assert report.stop_reason == "max_iter"
         assert report.selected == chosen
         np.testing.assert_allclose(report.final_iterate, x, rtol=1e-10)
