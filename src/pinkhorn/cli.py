@@ -11,6 +11,7 @@ values.  Exit codes: 0 converged (or all checks passed), 1 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -374,10 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, once per process: no flag has a mutable default or an append action."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

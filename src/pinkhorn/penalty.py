@@ -84,11 +84,18 @@ class ConstraintSystem:
         self._block_of = block_id[self._pos]
         # the fast paths of dots and block_update: all coefficients 1 (a step
         # scales each row's support by one factor), rows stored in the
-        # caller's order (no gather of per-row vectors), and blocks whose
-        # disjoint rows hold d entries, so they cover every coordinate
+        # caller's order (no gather of per-row vectors), blocks whose
+        # disjoint rows hold d entries, so they cover every coordinate, and
+        # covering blocks whose entries run over the coordinates in order
+        # (no scatter)
         self._unit = bool(np.all(self._data == 1.0))
         self._in_order = bool(np.all(order == np.arange(b.size)))
-        self._covers = (np.diff(self._indptr[self._block_ptr]) == d).tolist()
+        starts = self._indptr[self._block_ptr]
+        self._covers = (np.diff(starts) == d).tolist()
+        self._ordered = [
+            covers and np.array_equal(self._indices[lo:hi], np.arange(d))
+            for covers, lo, hi in zip(self._covers, starts[:-1], starts[1:])
+        ]
 
     @classmethod
     def from_rows(cls, rows, dimension: int, blocks=None) -> "ConstraintSystem":
@@ -153,7 +160,8 @@ class ConstraintSystem:
         block are taken at the same x, and disjoint supports keep the row
         factors independent.  On 0/1 rows the factor is one exp per row,
         (b_i/s_i)^eta, and a block that covers every coordinate is written
-        into ``out`` with no copy of x.  ``out`` is not ``x`` itself, and
+        into ``out`` with no copy of x, and with no scatter where its entries
+        run over the coordinates in order.  ``out`` is not ``x`` itself, and
         ``work`` is a ``_workspace()`` buffer.  An exp that overflows or
         underflows gives inf or 0 in ``out``, which the caller rejects.
         """
@@ -170,7 +178,9 @@ class ConstraintSystem:
             np.multiply(fac, row_fac.repeat(row_len), out=fac)
             np.exp(fac, out=fac)
         idx = self._indices[lo:hi]
-        if self._covers[block]:  # every coordinate moves: no copy of x, no gather
+        if self._ordered[block]:  # fac is in coordinate order: fac * x is x * fac bit for bit
+            np.multiply(fac, x, out=out)
+        elif self._covers[block]:  # every coordinate moves: no copy of x, no gather
             out[idx] = fac
             np.multiply(out, x, out=out)
         else:

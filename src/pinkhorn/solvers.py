@@ -21,9 +21,11 @@ The contract lives in one driver, ``_iterate``: it alone builds the trace,
 applies the stopping rule and the trace cadence, calls the callback, and
 ends a run ``numeric_failure`` at the last valid iterate when a step would
 leave the domain.  Each method supplies only its step and its measurement:
-the l1 violation plus a snapshot whose objective the driver evaluates
-later, in one batched call per chunk of kept trace entries and bit for bit
-as a per-iteration evaluation would give it.  The snapshot is the constraint
+the l1 violation plus a snapshot whose objective is evaluated when the
+report's trace is first read, in one batched call per chunk of kept trace
+entries and bit for bit as a per-iteration evaluation would give it; a run
+whose unread snapshots would pass ``_PENDING_BYTES`` evaluates its oldest
+chunk as it goes.  The snapshot is the constraint
 values where the step never reads the penalties (``sinkhorn``, ``pinkhorn``,
 cyclic and uniform ``solve_smd``), the per-constraint penalties the greedy
 rules select from (``greenkhorn``, greedy ``solve_smd``), and the objective
@@ -45,6 +47,7 @@ import functools
 import inspect
 import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +82,9 @@ _DENSE_TRACE_LIMIT = 1000
 # (128 KB), above which every batch would map, and page-fault in, fresh memory
 _OBJECTIVE_CHUNK = 128
 _OBJECTIVE_BYTES = 64 * 1024
+# an unread trace holds at most this many bytes of snapshots: past it, a run
+# evaluates its oldest pending chunk of objectives as it goes
+_PENDING_BYTES = 1024 * 1024
 # scalings beyond this factor either way are absorbed into the potentials;
 # between absorptions K~ is the plan divided by at most its square, so the
 # entries of K~ that carry mass stay normal doubles
@@ -137,6 +143,55 @@ class TraceEntry:
     time_ms: float
 
 
+class _Trace(Sequence):
+    """A run's kept entries, as ``TraceEntry`` objects built when first read.
+
+    ``kept`` holds (iteration, objective, violation, ms) for its first
+    ``done`` entries and (iteration, snapshot, violation, ms) for the rest.
+    The first read of any kind (index, slice, len or iteration) evaluates
+    the pending objectives in chunks of ``chunk``, with numpy's
+    floating-point errors ignored as in a solve, builds the entries once and
+    drops the snapshots.
+    """
+
+    __slots__ = ("_kept", "_done", "_chunk", "_objectives", "_entries")
+
+    def __init__(self, kept: list, done: int, chunk: int, objectives):
+        self._kept, self._done, self._chunk, self._objectives = kept, done, chunk, objectives
+        self._entries = None
+
+    def _read(self) -> list[TraceEntry]:
+        if self._entries is None:
+            kept, chunk = self._kept, self._chunk
+            values = [e[1] for e in kept[: self._done]]
+            with np.errstate(all="ignore"):
+                for lo in range(self._done, len(kept), chunk):
+                    values += self._objectives([e[1] for e in kept[lo : lo + chunk]])
+            self._entries = [TraceEntry(k, obj, violation, ms) for (k, _, violation, ms), obj in zip(kept, values)]
+            self._kept = self._objectives = None
+        return self._entries
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other):
+        if isinstance(other, _Trace):
+            other = other._read()
+        return self._read() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._read())
+
+    def __reduce__(self):  # a pickle or deep copy is the list of entries
+        return list, (self._read(),)
+
+
 @dataclass
 class SolveReport:
     """Final iterate plus per-iteration telemetry and the stop reason."""
@@ -144,7 +199,7 @@ class SolveReport:
     final_iterate: np.ndarray
     iterations: int
     stop_reason: str
-    trace: list[TraceEntry]
+    trace: Sequence[TraceEntry]
     potentials: Potentials | None = None
     selected: list[int] | None = None
 
@@ -185,37 +240,45 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
 
     ``measure()`` gives (snapshot, l1 violation) at the current iterate: the
     snapshot is a value no later step writes, and ``objectives(snapshots)``
-    gives the objectives of a list of them in one call, made once per
-    ``_OBJECTIVE_CHUNK`` kept trace entries or ``_OBJECTIVE_BYTES`` of
-    snapshots, whichever comes first (sized from the first snapshot, a float
-    counting 8 bytes), and once at the end; ``time_ms`` leaves that time
-    out.  The run stops ``converged`` once the violation is at most
-    ``cfg.tol``, else ``max_iter`` at ``cfg.max_iter``.
+    gives the objectives of a list of them in one call.  The returned trace
+    makes that call when it is first read, once per ``_OBJECTIVE_CHUNK``
+    kept entries or ``_OBJECTIVE_BYTES`` of snapshots, whichever comes first
+    (sized from the first snapshot, a float counting 8 bytes).  A run whose
+    pending snapshots would pass ``_PENDING_BYTES`` makes it for its oldest
+    pending chunk as it goes, and ``time_ms`` leaves that time out.  The run
+    stops ``converged`` once the violation is at most ``cfg.tol``, else
+    ``max_iter`` at ``cfg.max_iter``.
     ``step(k)`` moves to iterate k, ``current()`` is what the callback gets
     after every iterate.  A step that would leave the domain returns False
     without changing the iterate, and the run ends ``numeric_failure`` at
     that last valid iterate.
     """
     t0 = time.perf_counter()
-    trace: list[TraceEntry] = []
-    kept = []  # (iteration, snapshot, violation, ms) of kept entries not yet in the trace
-
-    def flush() -> None:
-        nonlocal t0
-        t = time.perf_counter()
-        values = objectives([e[1] for e in kept])
-        trace.extend(TraceEntry(k, obj, viol, ms) for (k, _, viol, ms), obj in zip(kept, values))
-        kept.clear()
-        t0 += time.perf_counter() - t
+    # (iteration, snapshot, violation, ms) of each kept entry; the first done
+    # hold their objective in place of the snapshot
+    kept, done = [], 0
 
     def entry(k: int) -> tuple:
         value, violation = measure()
         return k, value, violation, (time.perf_counter() - t0) * 1e3
 
+    def add(e: tuple) -> None:
+        nonlocal t0, done
+        kept.append(e)
+        if len(kept) - done > hold:  # put the oldest pending chunk's objectives in place of its snapshots
+            t = time.perf_counter()
+            part = kept[done : done + chunk]
+            values = objectives([e[1] for e in part])
+            kept[done : done + chunk] = [(k, obj, violation, ms) for (k, _, violation, ms), obj in zip(part, values)]
+            done += chunk
+            t0 += time.perf_counter() - t
+
     k, keep = 0, True
     last = entry(0)
-    kept.append(last)
-    chunk = min(_OBJECTIVE_CHUNK, max(1, _OBJECTIVE_BYTES // getattr(last[1], "nbytes", 8)))
+    size = getattr(last[1], "nbytes", 8)
+    chunk = min(_OBJECTIVE_CHUNK, max(1, _OBJECTIVE_BYTES // size))
+    hold = _PENDING_BYTES // size  # pending snapshots an unread trace may hold
+    add(last)
     if callback is not None:
         callback(0, current())
     while True:
@@ -232,16 +295,12 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
         last = entry(k)
         keep = k <= _DENSE_TRACE_LIMIT or k % 10 == 0
         if keep:
-            kept.append(last)
-            if len(kept) == chunk:
-                flush()
+            add(last)
         if callback is not None:
             callback(k, current())
     if not keep:  # the last iterate's entry is kept whatever the cadence
-        kept.append(last)
-    if kept:
-        flush()
-    return {"iterations": k, "stop_reason": reason, "trace": trace}
+        add(last)
+    return {"iterations": k, "stop_reason": reason, "trace": _Trace(kept, done, chunk, objectives)}
 
 
 @_fp_ignored
@@ -278,9 +337,11 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
             per = kl_terms(s, system.b)
         return per if greedy else s, float(np.add.reduce(gap))
 
+    b = system.b  # the objectives hold this, not the system, until the trace is read
+
     def objectives(snapshots) -> list[float]:
         stacked = np.stack(snapshots)
-        return np.add.reduce(stacked if greedy else kl_terms(stacked, system.b), axis=1).tolist()
+        return np.add.reduce(stacked if greedy else kl_terms(stacked, b), axis=1).tolist()
 
     def step(k: int) -> bool:
         nonlocal x, z, s
@@ -329,6 +390,9 @@ class _Scaling:
         self.logK = gibbs_kernel(problem)
         self.n = problem.shape[0]
         self.pq = np.concatenate((problem.p, problem.q))
+        # the objectives of snapshots' marginals, bit for bit as each one's
+        # own; an unread trace holds this and not the state
+        self.objectives = functools.partial(_objectives, pq=self.pq, n=self.n)
         self.rc = None
         top = self.logK.max()
         u = -top if top + np.log(max(problem.shape)) > _EXP_OVERFLOW else 0.0
@@ -422,10 +486,6 @@ class _Scaling:
         """(marginals, l1 violation) of the plan; a commit never writes into the marginals."""
         return self.rc, _violation(self.rc, self.pq, self.n)
 
-    def objectives(self, rcs) -> list[float]:
-        """The objectives of snapshots' marginals, bit for bit as each one's own."""
-        return _objectives(rcs, self.pq, self.n)
-
     def potentials(self) -> Potentials:
         w = self.w + np.log(self.ab)
         return Potentials(w[: self.n], w[self.n :])
@@ -497,8 +557,10 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
         selected.append(i)
         return True
 
+    n = st.n  # the objectives hold this, not the state, until the trace is read
+
     def objectives(pers) -> list[float]:
-        return _totals(np.stack(pers), st.n).tolist()
+        return _totals(np.stack(pers), n).tolist()
 
     return st.report(_iterate(cfg, callback, measure, step, st.plan, objectives), selected)
 

@@ -446,6 +446,29 @@ class TestSolveCommand:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_an_input_error_leaves_the_next_call_unchanged(self, ot_files, capsys, tmp_path):
+        # main() reuses one parser: flags set by a call that fails must not
+        # reach the next call
+        plan = tmp_path / "plan.csv"
+        base = ["solve", "--cost", ot_files["cost"], "--p", ot_files["p"], "--q", ot_files["q"], "--gamma", "0.5"]
+        first = run_cli(capsys, *base, "--out", str(plan))
+        written = plan.read_bytes()
+        flags = ["--method", "pinkhorn", "--eta", "2", "--tol", "1e-3", "--max-iter", "7", "--round"]
+        flags += ["--log", str(tmp_path / "log.csv"), "--summary", str(tmp_path / "s.json")]
+        failing = [
+            [*base, *flags, "--bogus"],  # fails in the parser, after every other flag
+            [*base[:2], str(tmp_path / "nope.csv"), *base[3:], *flags],  # fails reading the cost
+            ["system", "--matrix", ot_files["cost"], "--b", ot_files["p"], "--sampling", "greedy", "--x0", str(tmp_path / "nope.csv")],
+        ]
+        for argv in failing:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "") and "error: " in err
+        assert first[0] == 0
+        assert run_cli(capsys, *base, "--out", str(plan)) == first
+        assert plan.read_bytes() == written
+        assert not (tmp_path / "log.csv").exists() and not (tmp_path / "s.json").exists()
+        assert cli._parser() is cli._parser()
+
 
 class TestSystemCommand:
     def test_dense_system_default_start(self, capsys, tmp_path):

@@ -162,32 +162,43 @@ class TestBlockUpdate:
     """block_update and dots equal the per-entry formulas bit for bit, on every path."""
 
     @pytest.mark.parametrize(
-        "build, covers",
+        "build, covers, ordered",
         [
-            # the marginal system: rows, then columns, each block covering x
-            pytest.param(_ot_system, [True, True], id="ot"),
+            # the marginal system: rows, then columns, each block covering x;
+            # the row block's entries run over x in order, the column block's do not
+            pytest.param(_ot_system, [True, True], [True, False], id="ot"),
             pytest.param(
                 lambda: ConstraintSystem.from_dense(UNIT_PARTIAL, [2.0, 1.0, 3.0], blocks=[[0, 1], [2]]),
+                [False, False],
                 [False, False],
                 id="partial",
             ),
             pytest.param(
                 lambda: ConstraintSystem.from_dense(UNIT_PARTIAL, [2.0, 1.0, 3.0], blocks=[[2], [1, 0]]),
                 [False, False],
+                [False, False],
                 id="partial_reordered",
             ),
-            # general coefficients keep one exp per entry, here on a covering block
+            # general coefficients keep one exp per entry, here on covering blocks
             pytest.param(
                 lambda: ConstraintSystem.from_dense([[2.0, 0.5, 0.0], [0.0, 0.0, 3.0]], [1.0, 2.0], [[0, 1]]),
                 [True],
+                [True],
                 id="general_covering",
+            ),
+            pytest.param(
+                lambda: ConstraintSystem.from_dense([[0.0, 0.0, 3.0], [2.0, 0.5, 0.0]], [2.0, 1.0], [[0, 1]]),
+                [True],
+                [False],
+                id="general_covering_out_of_order",
             ),
         ],
     )
     @pytest.mark.parametrize("eta", [0.5, 1.0, 1.5])
-    def test_matches_per_entry_formula(self, build, covers, eta):
+    def test_matches_per_entry_formula(self, build, covers, ordered, eta):
         system = build()
         assert system._covers == covers
+        assert system._ordered == ordered
         rng = np.random.default_rng(24)
         for _ in range(5):
             x = rng.uniform(0.1, 3.0, system.dimension)

@@ -1,5 +1,6 @@
 """Solver family: mirror-descent core, matrix-scaling methods, telemetry."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -1026,13 +1027,25 @@ class TestErrorState:
             with pytest.raises(FloatingPointError):
                 direct_solve(method, prob, cfg, divide)
 
+    def test_a_trace_read_under_raise_records_an_overflowing_objective_as_inf(self):
+        # over-relaxed sinkhorn diverges here: one objective overflows, and
+        # kl_terms' division underflows on the marginals of the last entries
+        prob, cfg = random_ot(np.random.default_rng(6), 8, gamma=0.1), SolverConfig(eta=2.0, max_iter=2000)
+        expected = [(e.objective, e.violation_l1) for e in solve(prob, cfg).trace]
+        report = solve(prob, cfg)
+        with np.errstate(all="raise"):
+            read = [(e.objective, e.violation_l1) for e in report.trace]
+            assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
+        assert report.stop_reason == "numeric_failure"
+        assert read == expected and np.inf in [objective for objective, _ in read]
+
 
 # the steps that read the penalties or the objective: their snapshot is what they read
 GREEDY_OR_ACCELERATED = [("greenkhorn", "cyclic"), ("acc_pinkhorn", "cyclic"), ("smd", "greedy")]
 
 
 class TestTraceObjectives:
-    """Every method evaluates its trace objectives in batches."""
+    """Every method evaluates its trace objectives in batches, when the trace is first read."""
 
     @staticmethod
     def spy(monkeypatch, nbytes=None):
@@ -1053,12 +1066,22 @@ class TestTraceObjectives:
         return batches
 
     @staticmethod
-    def measured(monkeypatch, prob, cfg):
-        """The report, and each iterate's (objective, violation) as a per-step measurement gives it."""
+    def measured(monkeypatch, prob, cfg, callback=None):
+        """The report, and each iterate's (objective, violation) as a per-step measurement gives it.
+
+        ``callback(k)``, if given, runs after every iterate.  The report's
+        trace is not read.
+        """
         if cfg.method == "smd":
             system = as_constraint_system(prob)
             seen = []
-            report = solve(prob, cfg, callback=lambda k, x: seen.append(system.dots(x.reshape(-1))))
+
+            def record(k, x):
+                seen.append(system.dots(x.reshape(-1)))
+                if callback is not None:
+                    callback(k)
+
+            report = solve(prob, cfg, callback=record)
             b = system.b
             return report, [(float(np.add.reduce(kl_terms(s, b))), float(np.add.reduce(np.abs(s - b)))) for s in seen]
         n, add = prob.shape[0], np.add.reduce
@@ -1072,7 +1095,7 @@ class TestTraceObjectives:
             monkeypatch.setattr(
                 solvers._Scaling, "snapshot", lambda st: measurements.append(solvers._penalties(st.rc, pq, n)) or snapshot(st)
             )
-        report = solve(prob, cfg)
+        report = solve(prob, cfg, callback=None if callback is None else lambda k, x: callback(k))
         return report, [(float(add(per[:n]) + add(per[n:])), violation) for per, violation in measurements]
 
     @pytest.mark.parametrize(
@@ -1089,6 +1112,7 @@ class TestTraceObjectives:
         prob = random_ot(np.random.default_rng(49), 6, gamma=0.002)
         cfg = SolverConfig(method=method, sampling=sampling, tol=1e-300, max_iter=max_iter, seed=3)
         report, ref = self.measured(monkeypatch, prob, cfg)
+        assert batches == []  # nothing is evaluated before the trace is read
         assert (report.stop_reason, report.iterations) == ("max_iter", max_iter)
         iters = [e.iteration for e in report.trace]
         assert iters == sorted(set(range(min(max_iter, 1000) + 1)) | set(range(1010, max_iter + 1, 10)) | {max_iter})
@@ -1109,6 +1133,7 @@ class TestTraceObjectives:
         prob = random_ot(np.random.default_rng(50), 60, gamma=0.1, m=80)
         cfg = SolverConfig(method=method, sampling=sampling, tol=1e-300, max_iter=200, seed=3)
         report, ref = self.measured(monkeypatch, prob, cfg)
+        assert batches == []
         assert (report.stop_reason, report.iterations) == ("max_iter", 200)
         assert [e.iteration for e in report.trace] == list(range(201))
         for e in report.trace:
@@ -1121,6 +1146,7 @@ class TestTraceObjectives:
         batches = self.spy(monkeypatch)
         prob = random_ot(np.random.default_rng(0), 8, gamma=0.1)
         report, ref = self.measured(monkeypatch, prob, SolverConfig(method="pinkhorn", eta=eta, max_iter=2000))
+        assert batches == []
         assert report.stop_reason == stop
         assert [e.iteration for e in report.trace] == list(range(report.iterations + 1))
         for e in report.trace:
@@ -1131,9 +1157,49 @@ class TestTraceObjectives:
     def test_methods_that_read_penalties_batch_their_objectives(self, monkeypatch, method, sampling):
         batches = self.spy(monkeypatch)
         report = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method=method, sampling=sampling))
+        assert batches == []
+        trace = report.trace
         assert report.stop_reason == "converged"
-        assert batches and sum(batches) == len(report.trace)
+        assert len(trace) > 1 and sum(batches) == len(trace)
         assert max(batches) <= solvers._OBJECTIVE_CHUNK
+
+    @pytest.mark.parametrize("method, sampling", [("sinkhorn", "cyclic"), ("pinkhorn", "cyclic"), ("smd", "cyclic"), ("smd", "uniform")])
+    def test_an_unread_trace_holds_at_most_pending_bytes(self, monkeypatch, method, sampling):
+        # 1101 kept entries of 1120 bytes pass 1 MiB at the 937th: the run
+        # evaluates its oldest 58-entry chunk then, and twice more
+        assert solvers._PENDING_BYTES == 1024 * 1024
+        nbytes = []
+        batches = self.spy(monkeypatch, nbytes)
+        pending = []
+
+        def count(k):
+            kept = min(k, 1000) + 1 + max(0, k // 10 - 100)
+            pending.append((kept - sum(batches)) * 1120)
+
+        prob = random_ot(np.random.default_rng(50), 60, gamma=0.1, m=80)
+        cfg = SolverConfig(method=method, sampling=sampling, tol=1e-300, max_iter=2000, seed=3)
+        report, ref = self.measured(monkeypatch, prob, cfg, count)
+        assert (report.stop_reason, report.iterations) == ("max_iter", 2000)
+        assert batches == [58] * 3 and max(pending) <= solvers._PENDING_BYTES < max(pending) + 1120
+        for e in report.trace:
+            assert (e.objective, e.violation_l1) == ref[e.iteration]
+        assert batches == [58] * 18 + [57] and sum(batches) == len(report.trace) == 1101
+        assert max(nbytes) <= solvers._OBJECTIVE_BYTES
+
+    def test_a_read_trace_drops_its_snapshots(self, monkeypatch):
+        batches = self.spy(monkeypatch)
+        report = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method="pinkhorn"))
+        trace = report.trace
+        assert trace._kept is not None and batches == []
+        first = trace[-1]
+        assert trace._kept is None and sum(batches) == len(trace)
+        # every later read, of any kind, gives the same entries and evaluates nothing more
+        entries = list(trace)
+        assert entries[-1] is first and trace[:] == entries and trace == entries
+        assert len(batches) == 1 and list(reversed(trace)) == entries[::-1]
+        # an unread trace pickles as its entries
+        other = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method="pinkhorn"))
+        assert pickle.loads(pickle.dumps(other)).trace == list(other.trace)
 
 
 # rows 3 and 0 share block 0, rows 2 and 4 block 2: neither block is a
