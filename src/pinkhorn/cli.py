@@ -1,4 +1,4 @@
-"""Command line front end: solve, system, bench, and check subcommands.
+"""Command line front end: solve, system and check subcommands.
 
 File formats are deliberately plain: dense matrices as headerless CSV
 (row-major), vectors as one value per line or one comma-separated line,
@@ -20,7 +20,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .checks import _random_problem, run_checks
+from .checks import run_checks
 from .otx import OTProblem, round_to_feasible, transport_cost
 from .penalty import ConstraintSystem
 from .solvers import METHODS, SAMPLINGS, SolverConfig, solve, solve_smd
@@ -188,10 +188,10 @@ def _parse_blocks(value: str):
     return blocks
 
 
-def _solver_config(args, method: str | None = None) -> SolverConfig:
+def _solver_config(args, method: str) -> SolverConfig:
     try:
         return SolverConfig(
-            method=method if method is not None else args.method,
+            method=method,
             eta=args.eta,
             sampling=args.sampling,
             tol=args.tol,
@@ -220,7 +220,7 @@ def cmd_solve(args) -> int:
         problem = OTProblem(cost=cost, gamma=args.gamma, p=p, q=q)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, args.method)
     report = solve(problem, cfg)
     plan = report.final_iterate
     if args.round:
@@ -241,7 +241,7 @@ def cmd_system(args) -> int:
     b = read_vector_csv(args.b)
     blocks = _parse_blocks(args.blocks) if args.blocks else None
     if b.size != n_rows:
-        raise CliInputError(f"b has {b.size} entries for {n_rows} triplet rows")
+        raise CliInputError(f"b has {b.size} entries for {n_rows} matrix rows")
     try:
         system = ConstraintSystem(rows, cols, values, b, n_cols, blocks)
     except ValueError as exc:
@@ -250,7 +250,7 @@ def cmd_system(args) -> int:
         x0 = read_vector_csv(args.x0)
     else:
         x0 = np.ones(system.dimension)
-    cfg = _solver_config(args, method="smd")
+    cfg = _solver_config(args, "smd")
     try:
         report = solve_smd(system, x0, cfg)
     except ValueError as exc:
@@ -263,40 +263,6 @@ def cmd_system(args) -> int:
         "final_violation": report.trace[-1].violation_l1,
     }
     return _finish(args, report, summary, write_vector_csv, report.final_iterate)
-
-
-def cmd_bench(args) -> int:
-    if args.count < 1:
-        raise CliInputError("--count must be >= 1")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise CliInputError(f"unknown method {m!r}; expected one of {METHODS}")
-    if not methods:
-        raise CliInputError("--methods is empty")
-    # built before the first instance is drawn, so a bad --seed or --eta is an input error
-    configs = [(method, _solver_config(args, method=method)) for method in methods]
-    rng = np.random.default_rng(args.seed)
-    lines = ["instance,method,iterations,final_violation,time_ms"]
-    for instance in range(args.count):
-        try:
-            problem = _random_problem(rng, args.n, gamma=args.gamma)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
-        for method, cfg in configs:
-            report = solve(problem, cfg)
-            last = report.trace[-1]
-            lines.append(
-                f"{instance},{method},{report.iterations},"
-                + (_FLOAT + "," + _FLOAT) % (last.violation_l1, last.time_ms)
-            )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
-    return 0
 
 
 def cmd_check(args) -> int:
@@ -359,15 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_system)
-
-    sp = subs.add_parser("bench", help="run seeded random instances across methods")
-    sp.add_argument("--n", type=int, required=True, help="marginal size")
-    sp.add_argument("--count", type=int, required=True, help="number of instances")
-    sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--methods", required=True, help="comma-separated method names")
-    sp.add_argument("--out", default=None, help="comparison CSV path (default: stdout)")
-    _add_solver_flags(sp)
-    sp.set_defaults(func=cmd_bench)
 
     sp = subs.add_parser("check", help="run the oracle-backed invariant suite")
     sp.add_argument("--seed", type=int, default=0)

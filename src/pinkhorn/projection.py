@@ -51,9 +51,9 @@ def _sparse_rows(row, col, val, b):
     keep = keep[np.lexsort((col[keep], row[keep]))]
     row, col, val = row[keep], col[keep], val[keep]
     if np.any(col < 0):
-        raise ValueError("row indices must be nonnegative")
+        raise ValueError("column indices must be nonnegative")
     if np.any((np.diff(row) == 0) & (np.diff(col) == 0)):
-        raise ValueError("row indices must be distinct")
+        raise ValueError("(row, column) entries must be distinct")
     counts = np.bincount(row, minlength=b.size)
     if not counts.size or not counts.all():
         raise ValueError("need at least one row, each with at least one positive entry")

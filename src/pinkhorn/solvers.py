@@ -194,7 +194,13 @@ class _Trace(Sequence):
 
 @dataclass
 class SolveReport:
-    """Final iterate plus per-iteration telemetry and the stop reason."""
+    """Final iterate plus per-iteration telemetry and the stop reason.
+
+    ``dataclasses.asdict(report)["trace"]`` is a list of ``TraceEntry``
+    objects, not dicts: ``asdict`` deep-copies the trace, and a copy of a
+    trace is its list of entries.  For dicts, use
+    ``[dataclasses.asdict(e) for e in report.trace]``.
+    """
 
     final_iterate: np.ndarray
     iterations: int

@@ -237,6 +237,9 @@ class TestFileFormats:
         assert path.read_text() == expected
 
 
+BAD_ETA = "eta must be positive and finite (or None for the method default)"
+
+
 class TestSolveCommand:
     def test_happy_path_summary(self, ot_files, capsys):
         code, out, _ = run_cli(
@@ -437,12 +440,20 @@ class TestSolveCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "flag, message", [("--tol", "tol must be positive"), ("--max-iter", "max_iter must be >= 1")]
+        "flag, value, message",
+        [
+            ("--tol", "0", "tol must be positive"),
+            ("--max-iter", "0", "max_iter must be >= 1"),
+            ("--eta", "inf", BAD_ETA),
+            ("--eta", "nan", BAD_ETA),
+            ("--eta", "0", BAD_ETA),
+            ("--seed", "-1", "seed must be a nonnegative integer"),
+        ],
     )
-    def test_bad_solver_config_exits_1(self, ot_files, capsys, flag, message):
+    def test_bad_solver_config_exits_1(self, ot_files, capsys, flag, value, message):
         code, out, err = run_cli(
             capsys, "solve", "--cost", ot_files["cost"], "--p", ot_files["p"],
-            "--q", ot_files["q"], "--gamma", "1", flag, "0",
+            "--q", ot_files["q"], "--gamma", "1", flag, value,
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -579,71 +590,39 @@ class TestSystemCommand:
         assert code == 1
         assert err.startswith("error: blocks must hold integer row indices: ")
 
+    @pytest.mark.parametrize(
+        "matrix, b, message",
+        [
+            ("1,1\n0,1\n", "1\n1\n1\n", "b has 3 entries for 2 matrix rows"),
+            ("row,col,value\n0,0,1\n1,-1,1\n", "1\n1\n", "column indices must be nonnegative"),
+            ("row,col,value\n0,0,1\n1,1,1\n0,0,2\n", "1\n1\n", "(row, column) entries must be distinct"),
+        ],
+        ids=["dense b length", "negative column", "repeated entry"],
+    )
+    def test_bad_matrix_messages_name_what_is_wrong(self, capsys, tmp_path, matrix, b, message):
+        argv = ["system", "--matrix", write(tmp_path / "a.csv", matrix), "--b", write(tmp_path / "b.csv", b)]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-iter", "0", "max_iter must be >= 1"),
+            ("--eta", "nan", BAD_ETA),
+            ("--eta", "-1", BAD_ETA),
+            ("--seed", "-1", "seed must be a nonnegative integer"),
+        ],
+    )
+    def test_bad_solver_config_exits_1(self, capsys, tmp_path, flag, value, message):
+        # system builds its config through the same _solver_config as solve, with method "smd"
+        argv = ["system", "--matrix", write(tmp_path / "a.csv", "1,1\n"), "--b", write(tmp_path / "b.csv", "2\n")]
+        assert run_cli(capsys, *argv, flag, value) == (1, "", f"error: {message}\n")
+
     def test_negative_b_rejected(self, capsys, tmp_path):
         matrix = write(tmp_path / "a.csv", "1,1\n")
         b = write(tmp_path / "b.csv", "-2\n")
         code, _, err = run_cli(capsys, "system", "--matrix", matrix, "--b", b)
         assert code == 1
         assert "error:" in err
-
-
-class TestBenchCommand:
-    def test_csv_shape_and_determinism(self, capsys, tmp_path):
-        args = [
-            "bench", "--n", "4", "--count", "2",
-            "--methods", "sinkhorn,pinkhorn", "--seed", "11",
-        ]
-        out1 = tmp_path / "b1.csv"
-        out2 = tmp_path / "b2.csv"
-        assert run_cli(capsys, *args, "--out", str(out1))[0] == 0
-        assert run_cli(capsys, *args, "--out", str(out2))[0] == 0
-        lines1 = out1.read_text().strip().splitlines()
-        lines2 = out2.read_text().strip().splitlines()
-        assert lines1[0] == "instance,method,iterations,final_violation,time_ms"
-        assert len(lines1) == 1 + 2 * 2
-        # identical up to the timing column
-        strip = lambda lines: [line.rsplit(",", 1)[0] for line in lines]
-        assert strip(lines1) == strip(lines2)
-
-    def test_stdout_default_and_bad_method(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--n", "3", "--count", "1", "--methods", "sinkhorn"
-        )
-        assert code == 0
-        assert out.startswith("instance,method,")
-        code, _, err = run_cli(
-            capsys, "bench", "--n", "3", "--count", "1", "--methods", "simplex"
-        )
-        assert code == 1
-        assert "unknown method" in err
-        code, out, err = run_cli(capsys, "bench", "--n", "3", "--count", "1", "--methods", ",")
-        assert (code, out, err) == (1, "", "error: --methods is empty\n")
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            ["--n", "0"],
-            ["--n", "-2"],
-            ["--n", "3", "--gamma", "0"],
-            ["--n", "3", "--count", "0"],
-            ["--n", "3", "--count", "-2"],
-            ["--n", "3", "--seed", "-1"],
-        ],
-    )
-    def test_bad_instance_arguments_are_input_errors(self, capsys, bad):
-        code, out, err = run_cli(capsys, "bench", "--count", "1", "--methods", "sinkhorn", *bad)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-        if "--count" in bad:
-            assert err == "error: --count must be >= 1\n"
-
-    @pytest.mark.parametrize("eta", ["inf", "nan"])
-    def test_non_finite_eta_exits_1(self, capsys, eta):
-        # with an infinite step every pinkhorn run would end numeric_failure
-        # at iteration 0 and be reported as a result
-        code, out, err = run_cli(capsys, "bench", "--n", "3", "--count", "1", "--methods", "pinkhorn", "--eta", eta)
-        assert (code, out, err) == (1, "", "error: eta must be positive and finite (or None for the method default)\n")
 
 
 class TestCheckCommand:
@@ -664,6 +643,12 @@ class TestCheckCommand:
     def test_negative_seed_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "check", "--seed", "-1")
         assert (code, out, err) == (1, "", "error: seed must be a nonnegative integer\n")
+
+
+def test_bench_is_no_longer_a_subcommand(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n", "3", "--count", "1", "--methods", "sinkhorn")
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'bench'" in err and "Traceback" not in err
 
 
 def declared_console_script(name):

@@ -1,12 +1,13 @@
 """The outputs README.md shows are what its examples print."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from pinkhorn.cli import main
+from pinkhorn.cli import build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -40,21 +41,22 @@ def run_section(title, tmp_path, monkeypatch, capsys):
     return code, capsys.readouterr().out, shown
 
 
+def test_command_line_docs_name_the_parser_subcommands():
+    """The usage block and the sections before "File formats" name each subcommand, in order."""
+    [subs] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    text = README.read_text(encoding="utf-8")
+    body = text.split("\n## Command line\n", 1)[1].split("\n### File formats\n", 1)[0]
+    usage = re.search(r"^```\n(.*?)^```", body, re.M | re.S)[1]
+    assert [line.split()[:2] for line in usage.splitlines()] == [["pinkhorn", cmd] for cmd in subs.choices]
+    assert re.findall(r"^### (.*)$", body, re.M) == list(subs.choices)
+
+
 @pytest.mark.parametrize("title", ["solve", "system"])
 def test_summary_is_what_the_command_prints(title, tmp_path, monkeypatch, capsys):
     code, out, [(lang, summary)] = run_section(title, tmp_path, monkeypatch, capsys)
     assert code == 0
     assert lang == "json"
     assert out == summary
-
-
-def test_bench_rows_are_what_the_command_prints(tmp_path, monkeypatch, capsys):
-    code, out, [(_, table)] = run_section("bench", tmp_path, monkeypatch, capsys)
-    assert code == 0
-    shown = [line for line in table.splitlines() if line != "..."]
-    assert len(shown) == 3 and shown[0].endswith(",time_ms")  # the header and two rows
-    without_time = lambda lines: [line.rsplit(",", 1)[0] for line in lines]
-    assert without_time(out.splitlines()[: len(shown)]) == without_time(shown)
 
 
 def test_check_lines_are_what_the_command_prints(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Solver family: mirror-descent core, matrix-scaling methods, telemetry."""
 
+import dataclasses
 import pickle
 import warnings
 
@@ -12,6 +13,7 @@ from pinkhorn import (
     Hyperplane,
     OTProblem,
     SolverConfig,
+    TraceEntry,
     acc_pinkhorn,
     as_constraint_system,
     bregman_div,
@@ -1200,6 +1202,21 @@ class TestTraceObjectives:
         # an unread trace pickles as its entries
         other = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method="pinkhorn"))
         assert pickle.loads(pickle.dumps(other)).trace == list(other.trace)
+
+    def test_asdict_keeps_trace_entries_as_objects(self):
+        # the documented behaviour and its recipe: asdict copies the trace
+        # as its list of TraceEntry objects, a comprehension gives dicts
+        report = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method="sinkhorn"))
+        trace = dataclasses.asdict(report)["trace"]
+        assert type(trace) is list and trace == list(report.trace)
+        assert all(type(e) is TraceEntry for e in trace)
+        rows = [dataclasses.asdict(e) for e in report.trace]
+        assert rows[-1] == {
+            "iteration": report.iterations,
+            "objective": report.trace[-1].objective,
+            "violation_l1": report.trace[-1].violation_l1,
+            "time_ms": report.trace[-1].time_ms,
+        }
 
 
 # rows 3 and 0 share block 0, rows 2 and 4 block 2: neither block is a
