@@ -51,7 +51,8 @@ def kl_terms(x, y) -> np.ndarray:
     Callers feeding greedy selection and descent checks rely on tiny terms
     staying resolvable.  Inputs must be nonnegative arrays of matching
     shape, or a ``y`` that broadcasts to the shape of ``x`` (one target
-    vector for a stack of them); a term with x = y = 0 is 0.
+    vector for a stack of them); a term with x = y = 0 is 0, and a term is
+    inf only where it lies beyond the double range.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -65,14 +66,20 @@ def kl_terms(x, y) -> np.ndarray:
         # h is -inf or NaN only at the two limits, where the term is y |t|:
         # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may
         # even underflow to zero), and y (1 - r + r log r) = y to an ulp;
-        # when x/y overflows, t is inf and so is the term.  At x = y = 0,
-        # 0/0 is NaN and the term is 0 (0 log 0 = 0)
-        if not np.minimum.reduce(h, axis=None) > -np.inf:
+        # when x/y overflows, t is inf.  At x = y = 0, 0/0 is NaN and the
+        # term is 0 (0 log 0 = 0).  h is inf where x/y or x/y log(x/y)
+        # overflows, yet the term x (log x - log y) - x + y may be finite:
+        # there it is taken in logs, and is inf only beyond the double range.
+        # One sum finds all three, and is finite on the common path
+        overflow = None
+        if not abs(np.add.reduce(h, axis=None)) < np.inf:
             np.copyto(h, np.where(x == y, 0.0, np.abs(t)), where=~(h > -np.inf))
-        # each term is mathematically >= 0; shave off negative roundoff.  A
-        # term beyond the double range is inf
+            overflow = (h == np.inf) & (x < np.inf)
+        # each term is mathematically >= 0; shave off negative roundoff
         np.maximum(h, 0.0, out=h)
         np.multiply(h, y, out=h)
+        if overflow is not None and overflow.any():
+            np.copyto(h, x * (np.log(x) - np.log(y)) - x + y, where=overflow)
         return h
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import kl_terms
-from .projection import Hyperplane, _sparse_rows
+from .projection import Hyperplane, _as_indices, _sparse_rows
 
 __all__ = [
     "ConstraintSystem",
@@ -25,6 +25,9 @@ __all__ = [
     "grad_fi",
     "eval_f",
 ]
+
+# a from_triplets record; the indices are floats too, so that a fractional one is refused, not truncated
+_TRIPLET = np.dtype([("row", np.float64), ("col", np.float64), ("val", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,13 @@ class ConstraintSystem:
         sizes = np.array([len(block) for block in self.blocks])
         if not sizes.all() or not np.array_equal(np.sort(order), np.arange(b.size)):
             raise ValueError("blocks must partition the row indices into nonempty blocks")
-        row = np.asarray(row, dtype=np.intp)
+        row = _as_indices(row, "row")
         if np.any((row < 0) | (row >= b.size)):
             raise ValueError(f"row index out of range for {b.size} targets")
 
         self._row = order  # caller row at each stored position
-        self._pos = np.argsort(order)  # stored position of each caller row
+        self._pos = np.empty_like(order)  # stored position of each caller row: order's inverse
+        self._pos[order] = np.arange(order.size)
         self._indices, self._data, b, self._indptr = _sparse_rows(self._pos[row], col, val, b[order])
         self.dimension = d = int(dimension)  # d < 1 fails the index check
         if self._indices.max() >= d:
@@ -213,11 +217,22 @@ class ConstraintSystem:
 
     @classmethod
     def from_triplets(cls, triplets, b, dimension=None, blocks=None) -> "ConstraintSystem":
-        """Build from (row, col, value) triplets; n rows is set by len(b)."""
-        row, col, val = zip(*triplets)
+        """Build from (row, col, value) triplets; n rows is set by len(b).
+
+        Each triplet is a tuple, list or array of three numbers, and its row
+        and column are integers.  One pass reads them into records of three
+        floats, which refuses a triplet of another length.
+        """
+        try:
+            entries = np.fromiter(map(tuple, triplets), dtype=_TRIPLET)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"triplets must be (row, col, value) sequences: {exc}") from exc
+        if not entries.size:
+            raise ValueError("triplets must hold at least one (row, col, value) entry")
+        col = _as_indices(entries["col"], "column")
         if dimension is None:
-            dimension = int(max(col)) + 1
-        return cls(row, col, val, b, dimension, blocks)
+            dimension = int(col.max()) + 1
+        return cls(entries["row"], col, entries["val"], b, dimension, blocks)
 
 
 def _row_dot(system: ConstraintSystem, i: int, x) -> float:

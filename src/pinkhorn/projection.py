@@ -31,14 +31,31 @@ class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its iteration cap."""
 
 
+def _as_indices(a, name: str) -> np.ndarray:
+    """``a`` as intp indices; ValueError on an entry that is not an integer, never a truncation."""
+    a = np.asarray(a)
+    if a.dtype.kind in "biu":
+        return a.astype(np.intp, copy=False)
+    a = a.astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN, inf and values beyond intp cast to garbage, caught below
+        idx = a.astype(np.intp)
+    inexact = idx != a
+    if inexact.any():
+        raise ValueError(f"{name} indices must be integers, got {float(a[inexact][0])!r}")
+    return idx
+
+
 def _sparse_rows(row, col, val, b):
     """Validated (row, col, value) entries of nonnegative rows with targets b.
 
-    Returns ``(col, val, b, indptr)``: explicit zeros dropped, entries sorted
-    by (row, col), row ``i`` at ``indptr[i]:indptr[i + 1]``.  Raises
-    ValueError on a bad value or target, a repeated pair or an empty row.
+    ``row`` holds intp indices below ``b.size``.  Returns ``(col, val, b,
+    indptr)``: explicit zeros dropped, entries sorted by (row, col), row
+    ``i`` at ``indptr[i]:indptr[i + 1]``.  The sort is on one integer key,
+    ``row * width + col``, and entries that arrive in key order are not
+    sorted at all.  Raises ValueError on a bad index, value or target, a
+    repeated pair or an empty row.
     """
-    col = np.atleast_1d(np.asarray(col, dtype=np.intp))
+    col = np.atleast_1d(_as_indices(col, "column"))
     val = np.atleast_1d(np.asarray(val, dtype=np.float64))
     b = np.array(b, dtype=np.float64).reshape(-1)
     if col.ndim != 1 or val.shape != col.shape:
@@ -48,16 +65,22 @@ def _sparse_rows(row, col, val, b):
     if not np.all((val >= 0.0) & (val < np.inf)):
         raise ValueError("row values must be finite and nonnegative")
     keep = np.flatnonzero(val > 0.0)
-    keep = keep[np.lexsort((col[keep], row[keep]))]
-    row, col, val = row[keep], col[keep], val[keep]
+    row, col = row[keep], col[keep]
     if np.any(col < 0):
         raise ValueError("column indices must be nonnegative")
-    if np.any((np.diff(row) == 0) & (np.diff(col) == 0)):
-        raise ValueError("(row, column) entries must be distinct")
+    width = int(np.max(col, initial=0)) + 1
+    if b.size * width > np.iinfo(np.intp).max:
+        raise ValueError(f"{b.size} rows of {width} columns exceed the index range")
+    key = row * width + col
+    if not np.all(np.diff(key) > 0):  # not already in strictly increasing (row, col) order
+        order = np.argsort(key)
+        keep, col, key = keep[order], col[order], key[order]
+        if np.any(np.diff(key) == 0):
+            raise ValueError("(row, column) entries must be distinct")
     counts = np.bincount(row, minlength=b.size)
     if not counts.size or not counts.all():
         raise ValueError("need at least one row, each with at least one positive entry")
-    return col, val, b, np.concatenate(([0], np.cumsum(counts)))
+    return col, val[keep], b, np.concatenate(([0], np.cumsum(counts)))
 
 
 @dataclass(frozen=True)

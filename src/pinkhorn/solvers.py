@@ -597,7 +597,8 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     diag(a) K~ diag(b).  Each step extrapolates y = W + ((t - 1) / t')
     (W - W_prev), t' = (1 + sqrt(1 + 4 t^2)) / 2, and takes pinkhorn's
     mirror step from y: W+ = y - g / L with g = log(rc(y) / pq), the
-    stacked log ratios of the marginals to their targets.  L is doubled
+    stacked log ratios of the marginals to their targets (log rc - log pq
+    where the ratio overflows).  L is doubled
     until the Armijo test on marginals
 
         f(W+) <= f(y) + <g, rc(W+) - rc(y)> / 2
@@ -662,9 +663,14 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             y = W + ((t - 1.0) / t_next) * (W - W_prev)
             rc_y = marginals(y)
             obj_y = None if rc_y is None else _objective(rc_y, pq, n)
-        if rc_y is None or not rc_y.all():
-            return False  # an empty row or column: log(rc_y / pq) is -inf there
+        if rc_y is None:
+            return False
         g = np.log(rc_y / pq)
+        if not abs(np.add.reduce(g)) < np.inf:  # an entry is -inf, inf or NaN
+            if not rc_y.all():
+                return False  # an empty row or column: log(rc_y / pq) is -inf there
+            # rc_y / pq overflows: take those entries as a difference of logs
+            np.copyto(g, np.log(rc_y) - np.log(pq), where=~np.isfinite(g))
         for _ in range(_MAX_DOUBLINGS):
             w_new = y - g / L
             rc_new = marginals(w_new)

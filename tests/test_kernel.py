@@ -1,6 +1,7 @@
 """Mirror map, divergences, and log-sum-exp."""
 
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -93,12 +94,37 @@ def test_kl_terms_tiny_ratio_tends_to_y():
 def test_kl_terms_beyond_double_range_is_inf_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kl_div([1e300], [1e-10]) == np.inf  # x / y overflows
-        assert kl_div([1e300], [1e-8]) == np.inf  # (x / y) log(x / y) overflows
         assert kl_div([1e308], [1e3]) == np.inf  # y times the bracket overflows
         terms = kl_terms([1e308, 2.0], [1e-300, 1.0])
     assert terms[0] == np.inf
     assert terms[1] == pytest.approx(2.0 * np.log(2.0) - 1.0, rel=1e-15)
+
+
+def _kl_term_decimal(x: float, y: float) -> float:
+    """x log(x / y) - x + y to 50 digits, rounded to the nearest double (inf beyond the range)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        X, Y = Decimal(x), Decimal(y)
+        term = X * (X.ln() - Y.ln()) - X + Y
+    return float(term) if term <= Decimal(np.finfo(np.float64).max) else np.inf
+
+
+@pytest.mark.parametrize("y", [1e-300, 2.5e-201, 1e-10, 1.0])
+def test_kl_terms_at_overflowing_ratios_matches_decimal(y):
+    # x / y from 1e300 to 1e600 in steps of a quarter decade, every x a
+    # finite double: from 1e305 on the ratio or ratio * log(ratio) leaves
+    # the double range while the term itself may not
+    xs = np.array([float(Decimal(10) ** Decimal(e / 4) * Decimal(y)) for e in range(1200, 2401)])
+    xs = xs[xs < np.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kl_terms(xs, y)
+        assert kl_terms(xs[-1], y) == got[-1]  # 0-d inputs too
+    want = np.array([_kl_term_decimal(x, y) for x in xs])
+    finite = want < np.inf
+    assert finite.any()
+    np.testing.assert_array_equal(got[~finite], np.inf)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14)
 
 
 def test_kl_terms_of_zero_against_zero_is_zero():
@@ -121,7 +147,9 @@ def _kl_terms_reference(x, y):
         t = ratio - 1.0
         h = ratio * np.log1p(t) - t
         h = np.where(h > -np.inf, h, np.abs(t))
-        return y * np.maximum(h, 0.0)
+        # where x / y or (x / y) log(x / y) overflows, the term is taken in logs
+        in_logs = (h == np.inf) & (x < np.inf)
+        return np.where(in_logs, x * (np.log(x) - np.log(y)) - x + y, y * np.maximum(h, 0.0))
 
 
 def _kl_terms_cases():

@@ -136,6 +136,86 @@ _INVALID_BUILDS["triplets column >= dimension"] = (
     "references index 3 >= dimension 3",
 )
 
+_INVALID_BUILDS["triplets fractional column"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (1, 1.5, 1.0)], _B),
+    r"column indices must be integers, got 1\.5",
+)
+_INVALID_BUILDS["triplets fractional row"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (0.5, 1, 1.0)], _B),
+    r"row indices must be integers, got 0\.5",
+)
+_INVALID_BUILDS["triplets nan column"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (1, np.nan, 1.0)], _B, dimension=3),
+    "column indices must be integers, got nan",
+)
+_INVALID_BUILDS["triplets column beyond the index range"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (1, 2**70, 1.0)], _B),
+    "column indices must be integers",
+)
+_INVALID_BUILDS["triplets of four among threes"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (1, 1, 1.0, 4.0)], _B),
+    "must be \\(row, col, value\\) sequences: .*length 4",
+)
+_INVALID_BUILDS["triplets of two"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0), (1, 1)], _B),
+    "must be \\(row, col, value\\) sequences: .*length 2",
+)
+_INVALID_BUILDS["triplet that is a number"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), 3], _B),
+    "must be \\(row, col, value\\) sequences",
+)
+_INVALID_BUILDS["no triplets"] = (
+    lambda: ConstraintSystem.from_triplets([], _B, dimension=3),
+    "at least one \\(row, col, value\\) entry",
+)
+_INVALID_BUILDS["constructor fractional row"] = (
+    lambda: ConstraintSystem([0, 1.7], [0, 1], [1.0, 1.0], _B, 3),
+    r"row indices must be integers, got 1\.7",
+)
+_INVALID_BUILDS["constructor fractional column"] = (
+    lambda: ConstraintSystem([0, 1], [0, 1.25], [1.0, 1.0], _B, 3),
+    r"column indices must be integers, got 1\.25",
+)
+_INVALID_BUILDS["hyperplane fractional index"] = (
+    lambda: Hyperplane(indices=[0, 2.5], values=[1.0, 1.0], b=1.0),
+    r"column indices must be integers, got 2\.5",
+)
+_INVALID_BUILDS["keys beyond the index range"] = (
+    lambda: ConstraintSystem.from_triplets([(0, 0, 1.0), (1, 2**62, 1.0)], _B, dimension=2**62 + 1),
+    "exceed the index range",
+)
+
+
+def _reference_layout(row, col, val, b, blocks):
+    """The block-major CSR layout, built here with a two-key lexsort."""
+    stored = [i for block in blocks for i in block]
+    pos = np.empty(len(stored), dtype=np.intp)
+    pos[stored] = np.arange(len(stored))
+    row, col, val = pos[np.asarray(row)], np.asarray(col), np.asarray(val, dtype=np.float64)
+    keep = val > 0.0
+    row, col, val = row[keep], col[keep], val[keep]
+    order = np.lexsort((col, row))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(stored)))))
+    return col[order], val[order], indptr, np.asarray(b, dtype=np.float64)
+
+
+def _random_block_system(rng):
+    """A random system's entries in shuffled order, with explicit zeros and
+    disjoint supports in blocks that are singletons or hold rows out of order."""
+    d, n = int(rng.integers(12, 40)), int(rng.integers(1, 12))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    blocks = [block.tolist() for block in np.split(rng.permutation(n), cuts)]
+    entries = []
+    for block in blocks:
+        used = rng.permutation(d)[: int(rng.integers(len(block), d + 1))]
+        for i, support in zip(block, np.array_split(used, len(block))):
+            values = rng.uniform(0.5, 3.0, support.size) * (rng.random(support.size) < 0.8)
+            values[0] = 1.0  # every row keeps a positive entry
+            entries += zip([i] * support.size, support.tolist(), values.tolist())
+    entries = [entries[k] for k in rng.permutation(len(entries))]
+    row, col, val = (np.array(a) for a in zip(*entries))
+    return entries, row, col, val, rng.uniform(0.5, 2.0, n), d, blocks
+
 
 def _ot_system():
     rng = np.random.default_rng(23)
@@ -286,6 +366,63 @@ class TestConstruction:
             for attr in ("_indices", "_data", "_indptr", "b"):
                 np.testing.assert_array_equal(getattr(again, attr), getattr(system, attr), err_msg=name)
             assert again.blocks == system.blocks
+
+
+class TestLayout:
+    """The CSR layout equals one that the test sorts with np.lexsort."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_door_gives_the_lexsorted_layout(self, seed):
+        entries, row, col, val, b, d, blocks = _random_block_system(np.random.default_rng(seed))
+        want = _reference_layout(row, col, val, b, blocks)
+        A = np.zeros((b.size, d))
+        A[row, col] = val
+        systems = {
+            "constructor": ConstraintSystem(row, col, val, b, d, blocks),
+            "from_triplets": ConstraintSystem.from_triplets(entries, b, d, blocks),
+            "from_triplets, lists of numpy scalars": ConstraintSystem.from_triplets(
+                [[np.int32(i), np.int64(j), np.float64(v)] for i, j, v in entries], b, d, blocks
+            ),
+            "from_dense": ConstraintSystem.from_dense(A, b, blocks),
+            "from_rows": ConstraintSystem.from_rows(
+                [Hyperplane(indices=col[row == i], values=val[row == i], b=t) for i, t in enumerate(b)], d, blocks
+            ),
+        }
+        for name, system in systems.items():
+            for attr, expected in zip(("_indices", "_data", "_indptr", "b"), want):
+                got = getattr(system, attr)
+                assert got.dtype == expected.dtype, f"{name} {attr}"
+                np.testing.assert_array_equal(got, expected, err_msg=f"{name} {attr}")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hyperplane_gives_the_lexsorted_row(self, seed):
+        rng = np.random.default_rng(seed)
+        idx = rng.permutation(30)[: int(rng.integers(1, 30))]
+        val = rng.uniform(0.5, 2.0, idx.size) * (rng.random(idx.size) < 0.7)
+        val[0] = 2.0
+        h = Hyperplane(indices=idx, values=val, b=1.5)
+        want_idx, want_val, _, _ = _reference_layout(np.zeros(idx.size, dtype=np.intp), idx, val, [1.5], [[0]])
+        np.testing.assert_array_equal(h.indices, want_idx)
+        np.testing.assert_array_equal(h.values, want_val)
+
+    def test_ordered_entries_take_no_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("entries in (row, column) order were sorted")
+
+        prob = OTProblem(cost=np.arange(12.0).reshape(3, 4), gamma=1.0, p=[0.5, 0.25, 0.25], q=[0.25] * 4)
+        A = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 1.0, 0.0], [0.0, 0.0, 0.0, 4.0]])
+        expected = [as_constraint_system(prob), ConstraintSystem.from_dense(A, [1.0, 2.0, 3.0])]
+        monkeypatch.setattr(np, "argsort", refuse)
+        monkeypatch.setattr(np, "lexsort", refuse)
+        built = [as_constraint_system(prob), ConstraintSystem.from_dense(A, [1.0, 2.0, 3.0])]
+        monkeypatch.undo()
+        for system, again in zip(expected, built):
+            for attr in ("_indices", "_data", "_indptr", "b"):
+                np.testing.assert_array_equal(getattr(again, attr), getattr(system, attr))
+        # shuffled entries do take the sort
+        monkeypatch.setattr(np, "argsort", refuse)
+        with pytest.raises(AssertionError, match="were sorted"):
+            ConstraintSystem([1, 0], [0, 0], [1.0, 1.0], [1.0, 1.0], 1)
 
 
 class TestObjective:

@@ -142,3 +142,33 @@ def test_acc_pinkhorn_measures_each_objective_with_one_kl_call(monkeypatch):
     assert totals["otx.kl_terms"]["calls"] == len(evaluations)
     assert totals["kernel.kl_terms"]["calls"] == 0
     assert totals["kernel.log_sum_exp"]["calls"] == 0
+
+
+def test_each_construction_door_counts_one_constructor_call(tmp_path):
+    # every system is one ConstraintSystem.__init__ span, whichever door built
+    # it: a refactor that builds past __init__ would zero the layer's time
+    (tmp_path / "A.csv").write_text("row,col,value\n0,2,2.0\n0,0,1.0\n1,1,3.0\n1,2,1.0\n")
+    (tmp_path / "b.csv").write_text("1\n2\n")
+    A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+    problem = pinkhorn.OTProblem(cost=cost, gamma=1.0, p=[0.5, 0.5], q=[0.4, 0.6])
+    cli = ["system", "--matrix", str(tmp_path / "A.csv"), "--b", str(tmp_path / "b.csv")]
+    doors = {
+        "from_triplets": lambda: pinkhorn.ConstraintSystem.from_triplets([(0, 2, 2.0), (0, 0, 1.0), (1, 1, 3.0)], [1, 2]),
+        "from_dense": lambda: pinkhorn.ConstraintSystem.from_dense(A, [1.0, 2.0]),
+        "as_constraint_system": lambda: pinkhorn.as_constraint_system(problem),
+        "pinkhorn system": lambda: pinkhorn.cli.main(cli + ["--summary", str(tmp_path / "summary.json")]),
+    }
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(pinkhorn)
+    tracer.install()
+    try:
+        for name, door in doors.items():
+            before = tracer.layer_totals()["penalty.ConstraintSystem"]["calls"]
+            tracer.run_job(name, door)
+            assert tracer.layer_totals()["penalty.ConstraintSystem"]["calls"] == before + 1, name
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals()
+    assert totals["penalty.ConstraintSystem"]["calls"] == len(doors)
+    assert totals["penalty.ConstraintSystem"]["s"] > 0.0

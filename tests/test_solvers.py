@@ -890,6 +890,22 @@ class TestDispatchAndTrace:
             np.testing.assert_array_equal(plan_from_potentials(prob, report.potentials), report.final_iterate)
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_converges_where_a_marginal_ratio_overflows(self, method):
+        # the largest exponent, 541, is below the overflow shift, so the start
+        # holds 1.4e235 in column 0 against q_0 = 2.5e-201: that ratio leaves
+        # the double range, though the objective and the gradient do not
+        cost = [[-0.54146122, -0.29971189, -0.42268722, -0.02831967, -0.12428328]]
+        q = np.array([1e-200, 1.0, 1.0, 1.0, 1.0])
+        prob = OTProblem(cost=cost, gamma=1e-3, p=[1.0], q=q / q.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(prob, SolverConfig(method=method, tol=1e-8, max_iter=3000))
+            start = report.trace[0].objective
+        assert report.stop_reason == "converged"
+        assert marginal_violation(prob, report.final_iterate) <= 1e-8
+        assert 1e238 < start < np.inf
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_start_is_the_gibbs_kernel_where_nothing_overflows(self, method):
         # exp(100) is the largest entry and row 1 is exp(-700): a start
         # divided by its largest entry would underflow row 1 to zero
@@ -1031,8 +1047,10 @@ class TestErrorState:
 
     def test_a_trace_read_under_raise_records_an_overflowing_objective_as_inf(self):
         # over-relaxed sinkhorn diverges here: one objective overflows, and
-        # kl_terms' division underflows on the marginals of the last entries
-        prob, cfg = random_ot(np.random.default_rng(6), 8, gamma=0.1), SolverConfig(eta=2.0, max_iter=2000)
+        # kl_terms' division underflows on the marginals of the last entries.
+        # (Seed 6's largest objective, 6.2e307, is finite: it read inf only
+        # while kl_terms formed an overflowing ratio first)
+        prob, cfg = random_ot(np.random.default_rng(7), 8, gamma=0.1), SolverConfig(eta=2.0, max_iter=2000)
         expected = [(e.objective, e.violation_l1) for e in solve(prob, cfg).trace]
         report = solve(prob, cfg)
         with np.errstate(all="raise"):
