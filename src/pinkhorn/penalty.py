@@ -88,18 +88,24 @@ class ConstraintSystem:
         self._block_of = block_id[self._pos]
         # the fast paths of dots and block_update: all coefficients 1 (a step
         # scales each row's support by one factor), rows stored in the
-        # caller's order (no gather of per-row vectors), blocks whose
-        # disjoint rows hold d entries, so they cover every coordinate, and
-        # covering blocks whose entries run over the coordinates in order
-        # (no scatter)
+        # caller's order (no gather of per-row vectors), and blocks whose
+        # disjoint rows hold d entries, so they cover every coordinate
         self._unit = bool(np.all(self._data == 1.0))
         self._in_order = bool(np.all(order == np.arange(b.size)))
         starts = self._indptr[self._block_ptr]
-        self._covers = (np.diff(starts) == d).tolist()
-        self._ordered = [
-            covers and np.array_equal(self._indices[lo:hi], np.arange(d))
-            for covers, lo, hi in zip(self._covers, starts[:-1], starts[1:])
-        ]
+        covers = np.diff(starts) == d
+        # per covering block (None for other blocks), the source of each
+        # coordinate's factor in block_update: the row within the block that
+        # holds it on a 0/1 system (one factor per row), else its entry within
+        # the block's slice; one scatter per block, as a stacked (blocks, d)
+        # map and its index temporaries took about 3x as long on a 120 x 120
+        # marginal system
+        self._sources: list[np.ndarray | None] = [None] * sizes.size
+        for k in np.flatnonzero(covers).tolist():
+            p0, p1, lo = self._block_ptr[k], self._block_ptr[k + 1], starts[k]
+            source = np.arange(p1 - p0).repeat(self._row_len[p0:p1]) if self._unit else np.arange(d)
+            m = self._sources[k] = np.empty(d, dtype=np.intp)
+            m[self._indices[lo : lo + d]] = source
 
     @classmethod
     def from_rows(cls, rows, dimension: int, blocks=None) -> "ConstraintSystem":
@@ -144,8 +150,9 @@ class ConstraintSystem:
     def dots(self, x: np.ndarray) -> np.ndarray:
         """All inner products ``<a_i, x>`` in one vectorized pass."""
         self._check_length(x)
-        # a plain gather: numpy buffers a take into ``out=`` whose indices it must check
-        prod = np.take(x, self._indices)
+        # a plain gather: numpy buffers a take into ``out=`` whose indices it
+        # must check, and the method skips np.take's Python wrapper
+        prod = np.asarray(x).take(self._indices)
         if not self._unit:
             np.multiply(prod, self._data, out=prod)
         dots = np.add.reduceat(prod, self._indptr[:-1])
@@ -163,31 +170,31 @@ class ConstraintSystem:
         ``s`` holds the inner products at x; gradients of every row in the
         block are taken at the same x, and disjoint supports keep the row
         factors independent.  On 0/1 rows the factor is one exp per row,
-        (b_i/s_i)^eta, and a block that covers every coordinate is written
-        into ``out`` with no copy of x, and with no scatter where its entries
-        run over the coordinates in order.  ``out`` is not ``x`` itself, and
-        ``work`` is a ``_workspace()`` buffer.  An exp that overflows or
-        underflows gives inf or 0 in ``out``, which the caller rejects.
+        (b_i/s_i)^eta.  A block that covers every coordinate is written into
+        ``out`` by one gather of the factors through ``_sources``, with no
+        copy of x and no scatter; other blocks copy x and scatter their
+        entries.  ``out`` is not ``x`` itself, and ``work`` is a
+        ``_workspace()`` buffer.  An exp that overflows or underflows gives
+        inf or 0 in ``out``, which the caller rejects.
         """
         p0, p1 = self._block_ptr[block], self._block_ptr[block + 1]
         lo, hi = self._indptr[p0], self._indptr[p1]
         row_fac = self._log_b[p0:p1] - np.log(s[p0:p1] if self._in_order else s[self._row[p0:p1]])
-        row_len = self._row_len[p0:p1]
+        source = self._sources[block]
         if self._unit:  # exp(eta r_i) is exp((a_ij eta) r_i) bit for bit, as a_ij = 1
             np.multiply(row_fac, eta, out=row_fac)
-            fac = np.exp(row_fac, out=row_fac).repeat(row_len)
+            fac = np.exp(row_fac, out=row_fac)
+            if source is None:
+                fac = fac.repeat(self._row_len[p0:p1])
         else:
             fac = work[: hi - lo]
             np.multiply(self._data[lo:hi], eta, out=fac)
-            np.multiply(fac, row_fac.repeat(row_len), out=fac)
+            np.multiply(fac, row_fac.repeat(self._row_len[p0:p1]), out=fac)
             np.exp(fac, out=fac)
-        idx = self._indices[lo:hi]
-        if self._ordered[block]:  # fac is in coordinate order: fac * x is x * fac bit for bit
-            np.multiply(fac, x, out=out)
-        elif self._covers[block]:  # every coordinate moves: no copy of x, no gather
-            out[idx] = fac
-            np.multiply(out, x, out=out)
+        if source is not None:  # fac[source] * x is the per-entry x * fac bit for bit
+            np.multiply(fac.take(source), x, out=out)
         else:
+            idx = self._indices[lo:hi]
             gathered = x.take(idx)
             np.copyto(out, x)
             np.multiply(gathered, fac, out=gathered)

@@ -94,8 +94,17 @@ _LOG_RANGE = float(np.log(_SCALING_RANGE))
 _MAX_DOUBLINGS = 80
 # np.geterr() inside a solve
 _IGNORE_ALL = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
-# the ufunc reductions, without the Python layer of ndarray.min and .max
-_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
+# a domain check's min and max, read at argmin and argmax: both return the
+# first NaN, so a check decides as np.minimum.reduce and np.maximum.reduce
+# would, and on a short vector the index read costs about half the reduction
+def _min(a: np.ndarray):
+    return a[a.argmin()]
+
+
+def _max(a: np.ndarray):
+    return a[a.argmax()]
 
 
 @dataclass(frozen=True)
@@ -610,7 +619,10 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     starts from W (function-value restart), so the recorded objective never
     rises.  When the rejected step had no momentum already, f is flat to
     rounding there, and the next step starts from its W+ instead of
-    repeating it.  Marginals are f * (K~ f_b, f_a K~) with
+    repeating it.  When no trial point has marginals in range, the next
+    step restarts from W with the doubled L; where that step would repeat
+    this one exactly (it started from W and L did not change), the run ends
+    ``numeric_failure``.  Marginals are f * (K~ f_b, f_a K~) with
     f = exp(W - w), two matrix-vector products per point; a point whose
     scalings leave the range of ``_Scaling`` is absorbed into K~.  An empty
     row or column at y ends the run ``numeric_failure``.  A violation within
@@ -655,7 +667,8 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     def step(k: int) -> bool:
         nonlocal W, W_prev, rc_W, obj_W, t, L, resume
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        if resume is not None:
+        resumed = resume is not None
+        if resumed:
             (y, rc_y, obj_y), resume = resume, None
         elif t == 1.0:
             y, rc_y, obj_y = W, rc_W, obj_W
@@ -671,6 +684,7 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
                 return False  # an empty row or column: log(rc_y / pq) is -inf there
             # rc_y / pq overflows: take those entries as a difference of logs
             np.copyto(g, np.log(rc_y) - np.log(pq), where=~np.isfinite(g))
+        L_y = L
         for _ in range(_MAX_DOUBLINGS):
             w_new = y - g / L
             rc_new = marginals(w_new)
@@ -680,8 +694,11 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
                 if L >= 2.0 or obj_new <= obj_y + 0.5 * float(g @ (rc_new - rc_y)):
                     break
             L *= 2.0
-        else:  # no trial point has marginals in range: restart from W
-            W_prev, t = W, 1.0
+        else:  # no trial point has marginals in range
+            # a restart from W with the same L would repeat this step exactly
+            if t == 1.0 and not resumed and L == L_y:
+                return False
+            W_prev, t = W, 1.0  # restart from W
             return True
         if obj_new > obj_W:  # restart: hold W and drop the momentum
             if t == 1.0:  # no momentum to drop: f is flat to rounding here, so go on from w_new

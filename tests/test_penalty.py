@@ -238,47 +238,80 @@ def _per_entry_step(system, x, s, block, eta):
     return z
 
 
+def _assert_sources(system):
+    """Each covering block's map sends every coordinate to the row (0/1 system) or entry holding it.
+
+    A block covers when its rows hold d entries between them; every other
+    block has no map.  Rows are read through ``system.rows``, and a block's
+    entries are its rows' entries, in the block's row order.
+    """
+    start = 0  # the block's first entry in the block-major layout
+    for block, source in zip(system.blocks, system._sources):
+        rows = [system.rows[i] for i in block]
+        size = sum(row.support_size for row in rows)
+        if size != system.dimension:
+            assert source is None
+        else:
+            assert source.dtype == np.intp and source.shape == (system.dimension,)
+            for j, k in enumerate(source):
+                if system._unit:
+                    assert j in rows[k].indices
+                else:
+                    assert system._indices[start + k] == j
+        start += size
+
+
 class TestBlockUpdate:
     """block_update and dots equal the per-entry formulas bit for bit, on every path."""
 
     @pytest.mark.parametrize(
-        "build, covers, ordered",
+        "build, covers",
         [
-            # the marginal system: rows, then columns, each block covering x;
-            # the row block's entries run over x in order, the column block's do not
-            pytest.param(_ot_system, [True, True], [True, False], id="ot"),
+            # the marginal system: rows, then columns, each block covering x
+            pytest.param(_ot_system, [True, True], id="ot"),
             pytest.param(
                 lambda: ConstraintSystem.from_dense(UNIT_PARTIAL, [2.0, 1.0, 3.0], blocks=[[0, 1], [2]]),
-                [False, False],
                 [False, False],
                 id="partial",
             ),
             pytest.param(
                 lambda: ConstraintSystem.from_dense(UNIT_PARTIAL, [2.0, 1.0, 3.0], blocks=[[2], [1, 0]]),
                 [False, False],
-                [False, False],
                 id="partial_reordered",
+            ),
+            # a 0/1 covering block listed out of the caller's order, beside a partial one
+            pytest.param(
+                lambda: ConstraintSystem.from_dense(
+                    [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]], [1.0, 2.0, 0.5], [[1, 0], [2]]
+                ),
+                [True, False],
+                id="unit_covering_reordered",
             ),
             # general coefficients keep one exp per entry, here on covering blocks
             pytest.param(
                 lambda: ConstraintSystem.from_dense([[2.0, 0.5, 0.0], [0.0, 0.0, 3.0]], [1.0, 2.0], [[0, 1]]),
-                [True],
                 [True],
                 id="general_covering",
             ),
             pytest.param(
                 lambda: ConstraintSystem.from_dense([[0.0, 0.0, 3.0], [2.0, 0.5, 0.0]], [2.0, 1.0], [[0, 1]]),
                 [True],
-                [False],
                 id="general_covering_out_of_order",
+            ),
+            pytest.param(
+                lambda: ConstraintSystem.from_dense(
+                    [[2.0, 0.5, 0.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0]], [1.0, 2.0, 3.0], [[2], [1, 0]]
+                ),
+                [True, True],
+                id="general_covering_reordered",
             ),
         ],
     )
     @pytest.mark.parametrize("eta", [0.5, 1.0, 1.5])
-    def test_matches_per_entry_formula(self, build, covers, ordered, eta):
+    def test_matches_per_entry_formula(self, build, covers, eta):
         system = build()
-        assert system._covers == covers
-        assert system._ordered == ordered
+        assert [s is not None for s in system._sources] == covers
+        _assert_sources(system)
         rng = np.random.default_rng(24)
         for _ in range(5):
             x = rng.uniform(0.1, 3.0, system.dimension)
@@ -405,6 +438,36 @@ class TestLayout:
         np.testing.assert_array_equal(h.indices, want_idx)
         np.testing.assert_array_equal(h.values, want_val)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_covering_blocks_map_each_coordinate_to_its_factor(self, seed):
+        # blocks that each split a permutation of the coordinates into rows,
+        # listed out of order, and one block that leaves a coordinate out,
+        # with 0/1 and then general coefficients; then a marginal system
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 12))
+        row, col, blocks = [], [], []
+        for _ in range(int(rng.integers(1, 4))):
+            cuts = np.sort(rng.choice(np.arange(1, d), int(rng.integers(0, d)), replace=False))
+            parts = np.split(rng.permutation(d), cuts)
+            first = sum(len(block) for block in blocks)  # rows so far
+            blocks.append(rng.permutation(np.arange(first, first + len(parts))).tolist())
+            for i, part in enumerate(parts):
+                row += [first + i] * part.size
+                col += part.tolist()
+        partial = rng.permutation(d)[: int(rng.integers(1, d))]
+        row += [max(row) + 1] * partial.size
+        col += partial.tolist()
+        blocks.append([max(row)])
+        for val in (np.ones(len(col)), rng.uniform(0.5, 2.0, len(col))):
+            system = ConstraintSystem(row, col, val, np.ones(max(row) + 1), d, blocks)
+            assert [s is not None for s in system._sources] == [True] * (len(blocks) - 1) + [False]
+            _assert_sources(system)
+        n, m = rng.integers(1, 6, 2)
+        prob = OTProblem(cost=rng.random((n, m)), gamma=1.0, p=np.full(n, 1.0 / n), q=np.full(m, 1.0 / m))
+        system = as_constraint_system(prob)
+        assert [s is not None for s in system._sources] == [True, True]
+        _assert_sources(system)
+
     def test_ordered_entries_take_no_sort(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("entries in (row, column) order were sorted")
@@ -475,6 +538,14 @@ class TestObjective:
             with pytest.raises(ValueError, match=r"x has shape"):
                 evaluate(x)
         np.testing.assert_array_equal(sys_.dots(np.ones(3)), [2.0, 2.0])
+
+    def test_dots_takes_lists_and_strided_views(self):
+        sys_ = small_system()
+        want = sys_.dots(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(sys_.dots([1.0, 2.0, 3.0]), want)
+        np.testing.assert_array_equal(sys_.dots(np.array([1.0, 9.0, 2.0, 9.0, 3.0, 9.0])[::2]), want)
+        with pytest.raises(ValueError, match=r"x has shape"):
+            sys_.dots([1.0, 2.0])
 
     def test_objective_zero_iff_feasible(self):
         sys_ = small_system()

@@ -104,7 +104,7 @@ def test_smd_on_a_unit_block_system_counts_every_dots_call():
         finally:
             tracer.uninstall()
         assert report.stop_reason == "converged" and report.iterations > 10
-        assert system._unit and system._covers == [True, True]
+        assert system._unit and [s is not None for s in system._sources] == [True, True]
         totals = tracer.layer_totals()
         assert tracer.iterations["solvers.smd"] == report.iterations
         # the start, then one call per accepted step

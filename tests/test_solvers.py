@@ -357,6 +357,42 @@ class TestSinkhorn:
         assert report.iterations == 9
         assert calls == []
 
+    @pytest.mark.parametrize("seed, eta", [(0, 2.0), (0, 2.5), (2, 2.0), (2, 2.5)])
+    def test_divergent_stepsize_ends_numeric_failure_on_a_plan_with_mass(self, seed, eta):
+        # at eta >= 2 the over-relaxed half-steps diverge until the plan's
+        # mass underflows (to 1e-190 - 1e-298 here, violation 2): the run
+        # ends at the last iterate that still carries mass, and so does smd
+        prob = random_ot(np.random.default_rng(seed), 8, gamma=0.1)
+        report = sinkhorn(prob, SolverConfig(eta=eta, max_iter=2000))
+        assert report.stop_reason == "numeric_failure"
+        np.testing.assert_array_equal(report.final_iterate, plan_from_potentials(prob, report.potentials))
+        assert report.final_iterate.sum() > 0.0
+        assert report.trace[-1].iteration == report.iterations
+        assert solve(prob, SolverConfig(method="smd", eta=eta, max_iter=2000)).stop_reason == "numeric_failure"
+
+
+class TestDomainChecks:
+    """``_min`` and ``_max`` decide every check as the ufunc reductions do."""
+
+    @pytest.mark.parametrize("size", [1, 2, 40, 2000])
+    def test_equal_the_reductions(self, size):
+        rng = np.random.default_rng(size)
+        cases = [rng.normal(size=size), rng.uniform(1e-300, 1e300, size), np.full(size, 3.0)]
+        for a in cases + [np.append(a, [np.inf, -np.inf]) for a in cases]:
+            assert solvers._min(a) == np.minimum.reduce(a)
+            assert solvers._max(a) == np.maximum.reduce(a)
+        for a in (np.array([np.inf]), np.array([-np.inf]), np.array([5e-324])):
+            assert solvers._min(a) == np.minimum.reduce(a) == solvers._max(a)
+
+    @pytest.mark.parametrize("at", [0, 20, 39])
+    def test_a_nan_anywhere_is_read(self, at):
+        a = np.random.default_rng(at).random(40)
+        a[at] = np.nan
+        for b in (a, np.append(a, [np.inf, -np.inf])):
+            assert np.isnan(solvers._min(b)) and np.isnan(solvers._max(b))
+        one = np.array([np.nan])
+        assert np.isnan(solvers._min(one)) and np.isnan(solvers._max(one))
+
 
 class TestScalingProducts:
     """``_Scaling.scale`` keeps (K~ b, K~^T a) as the matrix products give them, in both orientations."""
@@ -554,6 +590,44 @@ class TestPinkhorn:
 
 
 class TestAccPinkhorn:
+    def test_exhausted_doublings_without_momentum_end_numeric_failure(self, monkeypatch):
+        # no trial point is ever tried, so the first step from the start
+        # fails, and a restart from W would repeat it until max_iter
+        monkeypatch.setattr(solvers, "_MAX_DOUBLINGS", 0)
+        prob = uniform_ot(np.random.default_rng(0).random((6, 5)), gamma=0.1)
+        report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", max_iter=50))
+        assert report.stop_reason == "numeric_failure"
+        assert report.iterations == 0
+        assert report.trace[-1].violation_l1 == pytest.approx(8.1448, abs=1e-4)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_exhausted_doublings_with_momentum_restart_first(self, monkeypatch, k):
+        # from iteration k on, every step exhausts its doublings: the step
+        # with momentum restarts from W, and the step from W that follows ends the run
+        prob = uniform_ot(np.random.default_rng(0).random((6, 5)), gamma=0.1)
+        plans = []
+
+        def exhaust_after_k(i, x):
+            plans.append(x)
+            if i == k:
+                monkeypatch.setattr(solvers, "_MAX_DOUBLINGS", 0)
+
+        report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", max_iter=50), exhaust_after_k)
+        assert report.stop_reason == "numeric_failure"
+        assert report.iterations == k + 1
+        assert report.trace[-1].violation_l1 == report.trace[-2].violation_l1
+        np.testing.assert_array_equal(report.final_iterate, plans[k])
+
+    @pytest.mark.parametrize("eta", [1e30, 1e300])
+    def test_exhausted_doublings_from_w_restart_with_the_doubled_step_constant(self, eta):
+        # L starts at 1/eta, so a step's 80 doublings leave every trial point
+        # out of range and W does not move; each restart from W goes on from
+        # L * 2^80, which is another step, until one lands in range
+        prob = uniform_ot(np.random.default_rng(0).random((6, 5)), gamma=0.1)
+        report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", eta=eta))
+        assert report.stop_reason == "converged"
+        assert report.trace[1].violation_l1 == report.trace[0].violation_l1 > 8.0
+
     def test_feasible_start_stops_immediately(self):
         report = acc_pinkhorn(feasible_start_problem(), SolverConfig(method="acc_pinkhorn"))
         assert report.stop_reason == "converged"
