@@ -128,15 +128,6 @@ def _marginals(plan: np.ndarray) -> np.ndarray:
     return np.concatenate((plan.sum(axis=1), plan.sum(axis=0)))
 
 
-def _penalties(rc, pq, n: int) -> tuple[np.ndarray, float]:
-    """(per-constraint KL penalties, l1 violation) of stacked marginals.
-
-    ``rc`` and ``pq`` hold the n rows, then the columns; ``_totals`` of the
-    penalties is the objective.
-    """
-    return kl_terms(rc, pq), _violation(rc, pq, n)
-
-
 def _totals(per, n: int):
     """The objective of stacked penalties, summed per side, rows then columns.
 
@@ -155,8 +146,63 @@ def _violation(rc, pq, n: int) -> float:
     return float(add(gap[:n]) + add(gap[n:]))
 
 
+def _violations(rcs, pq, n: int) -> list[float]:
+    """The l1 violation of each of a list of stacked marginals, in one pass, bit for bit as ``_violation``'s."""
+    gap = np.subtract(np.stack(rcs), pq)
+    np.abs(gap, out=gap)
+    return _totals(gap, n).tolist()
+
+
+# the unit roundoff of a double
+_U = 2.0**-53
+
+
+class _L1:
+    """The l1 violation of stacked marginals, or None where one product proves it above ``tol``.
+
+    ||g||_1 is the largest s . g over sign vectors s, so the signs s of an
+    earlier gap bound the violation from below: |s . rc - s . pq| <=
+    ||rc - pq||_1.  A call computes rc . s; where the bound, less ``slack``
+    for the rounding of both products, is above tol (1 + 2c), the violation
+    ``_violation`` gives is above tol, and the call returns None.  With N
+    constraints and u the unit roundoff, N u bounds the relative rounding of
+    a length-N product and of ``_violation``'s sums: slack is twice
+    N u (N max rc + sum pq), which also covers the rounding of the test, and
+    c = (N + 1) u.  An inf or NaN fails the test.
+
+    Otherwise the call returns ``_violation``'s value, bit for bit, and
+    takes the signs of the gaps above V / (4N), where s . gap >= V / 2; a
+    gap at rounding level (the side a sinkhorn step just made exact) keeps
+    its old sign.  A value at or below the test's threshold is one no signs
+    can prove, as a run near its rounding floor sees at every iterate: the
+    call then keeps the signs and the next call skips the test, so such a
+    run pays ``_violation`` alone.  ``rc`` must be nonnegative, with ``top``
+    its largest entry.
+    """
+
+    def __init__(self, pq, n: int, tol: float):
+        size = pq.size
+        self.pq, self.n, self.cut = pq, n, 4.0 * size
+        self.signs, self.signed_pq, self.armed = np.zeros(size), 0.0, False
+        # the test is slope * top + floor < |rc . s - s . pq| < inf
+        self.slope = 2.0 * size * size * _U
+        self.floor = 2.0 * size * _U * float(np.add.reduce(pq)) + tol * (1.0 + 2.0 * (size + 1) * _U)
+
+    def __call__(self, rc, top) -> float | None:
+        threshold = self.slope * top + self.floor
+        if self.armed and threshold < abs(float(rc.dot(self.signs)) - self.signed_pq) < np.inf:
+            return None
+        violation = _violation(rc, self.pq, self.n)
+        self.armed = not violation <= threshold  # a NaN keeps the test
+        if self.armed:
+            gap = np.subtract(rc, self.pq)
+            np.copyto(self.signs, np.sign(gap), where=np.abs(gap) > violation / self.cut)
+            self.signed_pq = float(self.signs.dot(self.pq))
+        return violation
+
+
 def _objective(rc, pq, n: int) -> float:
-    """The objective of stacked marginals, without the violation ``_penalties`` adds."""
+    """The objective of stacked marginals: ``_totals`` of their KL penalties."""
     return float(_totals(kl_terms(rc, pq), n))
 
 

@@ -25,10 +25,13 @@ the l1 violation plus a snapshot whose objective is evaluated when the
 report's trace is first read, in one batched call per chunk of kept trace
 entries and bit for bit as a per-iteration evaluation would give it; a run
 whose unread snapshots would pass ``_PENDING_BYTES`` evaluates its oldest
-chunk as it goes.  The snapshot is the constraint
-values where the step never reads the penalties (``sinkhorn``, ``pinkhorn``,
-cyclic and uniform ``solve_smd``), the per-constraint penalties the greedy
-rules select from (``greenkhorn``, greedy ``solve_smd``), and the objective
+chunk as it goes.  ``sinkhorn``, ``greenkhorn`` and ``pinkhorn`` measure
+through ``otx._L1``: where one dot product with the signs of an earlier gap
+proves the violation above tol, it is left out and evaluated from the
+snapshot when the trace is read, in one batched call per chunk and bit for
+bit as well; otherwise it is measured.  The snapshot is the marginals for
+those three, the constraint values for cyclic and uniform ``solve_smd``,
+the per-row penalties greedy ``solve_smd`` selects from, and the objective
 itself for ``acc_pinkhorn``, whose step compares them.  Each public solve
 runs with numpy's floating-point errors ignored, and each step tells from the
 values it computes whether it left the domain.  The four OT methods also
@@ -53,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import as_positive_vector, kl_terms, log_sum_exp
-from .otx import _EXP_OVERFLOW, OTProblem, Potentials, _marginals, _objective, _objectives, _penalties, _totals
-from .otx import _violation, as_constraint_system, gibbs_kernel
+from .otx import _EXP_OVERFLOW, _L1, OTProblem, Potentials, _marginals, _objective, _objectives, _violation
+from .otx import _violations, as_constraint_system, gibbs_kernel
 from .penalty import ConstraintSystem
 
 __all__ = [
@@ -107,6 +110,13 @@ def _max(a: np.ndarray):
     return a[a.argmax()]
 
 
+def _gibbs(u, logK, v) -> np.ndarray:
+    """exp(u_i + logK_ij + v_j), in that operation order and in one n x m buffer."""
+    out = np.add(u[:, None], logK)
+    out += v
+    return np.exp(out, out=out)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Method selection, stepsize, sampling, and stopping parameters.
@@ -156,28 +166,28 @@ class _Trace(Sequence):
     """A run's kept entries, as ``TraceEntry`` objects built when first read.
 
     ``kept`` holds (iteration, objective, violation, ms) for its first
-    ``done`` entries and (iteration, snapshot, violation, ms) for the rest.
-    The first read of any kind (index, slice, len or iteration) evaluates
-    the pending objectives in chunks of ``chunk``, with numpy's
-    floating-point errors ignored as in a solve, builds the entries once and
-    drops the snapshots.
+    ``done`` entries and (iteration, snapshot, violation or None, ms) for
+    the rest.  The first read of any kind (index, slice, len or iteration)
+    evaluates the pending entries in chunks of ``chunk`` (``_evaluated``),
+    with numpy's floating-point errors ignored as in a solve, builds the
+    entries once and drops the snapshots.
     """
 
-    __slots__ = ("_kept", "_done", "_chunk", "_objectives", "_entries")
+    __slots__ = ("_kept", "_done", "_chunk", "_objectives", "_violations", "_entries")
 
-    def __init__(self, kept: list, done: int, chunk: int, objectives):
-        self._kept, self._done, self._chunk, self._objectives = kept, done, chunk, objectives
+    def __init__(self, kept: list, done: int, chunk: int, objectives, violations):
+        self._kept, self._done, self._chunk = kept, done, chunk
+        self._objectives, self._violations = objectives, violations
         self._entries = None
 
     def _read(self) -> list[TraceEntry]:
         if self._entries is None:
             kept, chunk = self._kept, self._chunk
-            values = [e[1] for e in kept[: self._done]]
             with np.errstate(all="ignore"):
                 for lo in range(self._done, len(kept), chunk):
-                    values += self._objectives([e[1] for e in kept[lo : lo + chunk]])
-            self._entries = [TraceEntry(k, obj, violation, ms) for (k, _, violation, ms), obj in zip(kept, values)]
-            self._kept = self._objectives = None
+                    kept[lo : lo + chunk] = _evaluated(kept[lo : lo + chunk], self._objectives, self._violations)
+            self._entries = [TraceEntry(*e) for e in kept]
+            self._kept = self._objectives = self._violations = None
         return self._entries
 
     def __getitem__(self, i):
@@ -250,27 +260,44 @@ def _fp_ignored(solver):
     return run
 
 
-def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) -> dict:
+def _evaluated(part: list, objectives, violations) -> list[tuple]:
+    """Pending trace entries as (iteration, objective, violation, ms).
+
+    The violations a proof left out (None) are evaluated from their
+    snapshots first, then the objectives of all of them: one batched call
+    each.
+    """
+    snapshots = [e[1] for e in part]
+    unmeasured = [snap for snap, e in zip(snapshots, part) if e[2] is None]
+    measured = iter(violations(unmeasured) if unmeasured else ())
+    values = objectives(snapshots)
+    return [(k, obj, next(measured) if v is None else v, ms) for (k, _, v, ms), obj in zip(part, values)]
+
+
+def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives, violations=None) -> dict:
     """The iteration loop every method runs; returns the report's run fields.
 
     ``measure()`` gives (snapshot, l1 violation) at the current iterate: the
-    snapshot is a value no later step writes, and ``objectives(snapshots)``
-    gives the objectives of a list of them in one call.  The returned trace
-    makes that call when it is first read, once per ``_OBJECTIVE_CHUNK``
-    kept entries or ``_OBJECTIVE_BYTES`` of snapshots, whichever comes first
+    snapshot is a value no later step writes, and the violation is None
+    where it is proved above ``cfg.tol`` but not evaluated.
+    ``objectives(snapshots)`` gives the objectives of a list of snapshots in
+    one call, and ``violations(snapshots)`` their violations (not needed
+    by a method whose violations are never None).  The returned trace makes
+    those calls when it is first read, once per ``_OBJECTIVE_CHUNK`` kept
+    entries or ``_OBJECTIVE_BYTES`` of snapshots, whichever comes first
     (sized from the first snapshot, a float counting 8 bytes).  A run whose
-    pending snapshots would pass ``_PENDING_BYTES`` makes it for its oldest
-    pending chunk as it goes, and ``time_ms`` leaves that time out.  The run
-    stops ``converged`` once the violation is at most ``cfg.tol``, else
-    ``max_iter`` at ``cfg.max_iter``.
+    pending snapshots would pass ``_PENDING_BYTES`` makes them for its
+    oldest pending chunk as it goes, and ``time_ms`` leaves that time out.
+    The run stops ``converged`` once the violation is at most ``cfg.tol``,
+    else ``max_iter`` at ``cfg.max_iter``; a None violation never stops it.
     ``step(k)`` moves to iterate k, ``current()`` is what the callback gets
     after every iterate.  A step that would leave the domain returns False
     without changing the iterate, and the run ends ``numeric_failure`` at
     that last valid iterate.
     """
     t0 = time.perf_counter()
-    # (iteration, snapshot, violation, ms) of each kept entry; the first done
-    # hold their objective in place of the snapshot
+    # (iteration, snapshot, violation or None, ms) of each kept entry; the
+    # first done hold their objective in place of the snapshot, and their violation
     kept, done = [], 0
 
     def entry(k: int) -> tuple:
@@ -280,11 +307,9 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
     def add(e: tuple) -> None:
         nonlocal t0, done
         kept.append(e)
-        if len(kept) - done > hold:  # put the oldest pending chunk's objectives in place of its snapshots
+        if len(kept) - done > hold:  # evaluate the oldest pending chunk in place of its snapshots
             t = time.perf_counter()
-            part = kept[done : done + chunk]
-            values = objectives([e[1] for e in part])
-            kept[done : done + chunk] = [(k, obj, violation, ms) for (k, _, violation, ms), obj in zip(part, values)]
+            kept[done : done + chunk] = _evaluated(kept[done : done + chunk], objectives, violations)
             done += chunk
             t0 += time.perf_counter() - t
 
@@ -297,7 +322,7 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
     if callback is not None:
         callback(0, current())
     while True:
-        if last[2] <= cfg.tol:
+        if last[2] is not None and last[2] <= cfg.tol:
             reason = "converged"
             break
         if k >= cfg.max_iter:
@@ -315,7 +340,7 @@ def _iterate(cfg: SolverConfig, callback, measure, step, current, objectives) ->
             callback(k, current())
     if not keep:  # the last iterate's entry is kept whatever the cadence
         add(last)
-    return {"iterations": k, "stop_reason": reason, "trace": _Trace(kept, done, chunk, objectives)}
+    return {"iterations": k, "stop_reason": reason, "trace": _Trace(kept, done, chunk, objectives, violations)}
 
 
 @_fp_ignored
@@ -398,16 +423,20 @@ class _Scaling:
     A step that takes a scaling out of [1/_SCALING_RANGE, _SCALING_RANGE]
     absorbs the scalings into (u, v) and rebuilds K~.  A step that meets a
     row or column of K~ summing to 0 (an underflowed kernel) is taken in log
-    domain through log-sum-exp, then absorbed.
+    domain through log-sum-exp, then absorbed.  ``snapshot`` measures the
+    plan against ``tol`` through ``_L1``, with ``top`` = max rc from the
+    commit.
     """
 
-    def __init__(self, problem: OTProblem):
+    def __init__(self, problem: OTProblem, tol: float):
         self.logK = gibbs_kernel(problem)
         self.n = problem.shape[0]
         self.pq = np.concatenate((problem.p, problem.q))
-        # the objectives of snapshots' marginals, bit for bit as each one's
-        # own; an unread trace holds this and not the state
+        self.l1 = _L1(self.pq, self.n, tol)
+        # the objectives and violations of snapshots' marginals, bit for bit
+        # as each one's own; an unread trace holds these and not the state
         self.objectives = functools.partial(_objectives, pq=self.pq, n=self.n)
+        self.violations = functools.partial(_violations, pq=self.pq, n=self.n)
         self.rc = None
         top = self.logK.max()
         u = -top if top + np.log(max(problem.shape)) > _EXP_OVERFLOW else 0.0
@@ -432,10 +461,11 @@ class _Scaling:
     def _commit(self, w, K, ab, kab) -> bool:
         """Make this the state unless the plan's marginals overflow or all vanish."""
         rc = ab * kab
+        top = float(_max(rc))
         # the start is always committed, even an underflowed kernel's zero marginals
-        if self.rc is not None and not 0.0 < _max(rc) < np.inf:
+        if self.rc is not None and not 0.0 < top < np.inf:
             return False
-        self.w, self.K, self.ab, self.kab, self.rc = w, K, ab, kab, rc
+        self.w, self.K, self.ab, self.kab, self.rc, self.top = w, K, ab, kab, rc, top
         return True
 
     def _absorb(self, w) -> bool:
@@ -443,7 +473,7 @@ class _Scaling:
         if not np.isfinite(w).all():
             return False
         n = self.n
-        K = np.exp(w[:n, None] + self.logK + w[None, n:])
+        K = _gibbs(w[:n], self.logK, w[n:])
         return self._commit(w, K, np.ones(w.size), _marginals(K))
 
     def refresh(self) -> None:
@@ -497,9 +527,12 @@ class _Scaling:
         w[at] += eta * (np.log(self.pq[at]) - log_rc[at])
         return self._absorb(w)
 
-    def snapshot(self) -> tuple[np.ndarray, float]:
-        """(marginals, l1 violation) of the plan; a commit never writes into the marginals."""
-        return self.rc, _violation(self.rc, self.pq, self.n)
+    def snapshot(self) -> tuple[np.ndarray, float | None]:
+        """(marginals, l1 violation or None where one product proves it above tol) of the plan.
+
+        A commit never writes into the marginals.
+        """
+        return self.rc, self.l1(self.rc, self.top)
 
     def potentials(self) -> Potentials:
         w = self.w + np.log(self.ab)
@@ -508,7 +541,11 @@ class _Scaling:
     def plan(self) -> np.ndarray:
         """The dense plan, from the potentials as ``plan_from_potentials`` builds it."""
         pot = self.potentials()
-        return np.exp(pot.u[:, None] + self.logK + pot.v[None, :])
+        return _gibbs(pot.u, self.logK, pot.v)
+
+    def run(self, cfg: SolverConfig, callback, step, measure=None) -> dict:
+        """``_iterate`` on this state, measured by ``snapshot`` unless ``measure`` is given."""
+        return _iterate(cfg, callback, measure or self.snapshot, step, self.plan, self.objectives, self.violations)
 
     def report(self, run: dict, selected: list[int] | None = None) -> SolveReport:
         return SolveReport(
@@ -529,11 +566,10 @@ def sinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     the dense plan is materialized from them once at the end (and for
     callbacks).
     """
-    st = _Scaling(problem)
+    st = _Scaling(problem, cfg.tol)
     eta = 1.0 if cfg.eta is None else float(cfg.eta)
     rows, cols = slice(0, st.n), slice(st.n, st.pq.size)
-    run = _iterate(cfg, callback, st.snapshot, lambda k: st.scale(rows if k % 2 else cols, eta), st.plan, st.objectives)
-    return st.report(run)
+    return st.report(st.run(cfg, callback, lambda k: st.scale(rows if k % 2 else cols, eta)))
 
 
 @_fp_ignored
@@ -548,20 +584,22 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
     iterations, to cap drift, and whenever one turns negative.  A plan that
     measures within tol is measured again on products recomputed from K~
     before the run may stop ``converged``, so drift cannot pass for
-    convergence.
+    convergence.  The measurement is ``_Scaling.snapshot``'s, as in
+    ``sinkhorn``; the penalties it selects from are computed with it.
     """
-    st = _Scaling(problem)
+    st = _Scaling(problem, cfg.tol)
     selected: list[int] = []
     per = None  # the penalties of the last measurement, which the next step selects from
 
-    def measure() -> tuple[np.ndarray, float]:
-        """(per, violation): the penalties are a fresh array and the run's snapshot."""
+    def measure() -> tuple[np.ndarray, float | None]:
         nonlocal per
-        per, violation = _penalties(st.rc, st.pq, st.n)
-        if violation <= cfg.tol:
+        per = kl_terms(st.rc, st.pq)
+        rc, violation = st.snapshot()
+        if violation is not None and violation <= cfg.tol:
             st.refresh()
-            per, violation = _penalties(st.rc, st.pq, st.n)
-        return per, violation
+            per = kl_terms(st.rc, st.pq)
+            rc, violation = st.snapshot()
+        return rc, violation
 
     def step(k: int) -> bool:
         i = int(per.argmax())
@@ -572,12 +610,7 @@ def greenkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRep
         selected.append(i)
         return True
 
-    n = st.n  # the objectives hold this, not the state, until the trace is read
-
-    def objectives(pers) -> list[float]:
-        return _totals(np.stack(pers), n).tolist()
-
-    return st.report(_iterate(cfg, callback, measure, step, st.plan, objectives), selected)
+    return st.report(st.run(cfg, callback, step, measure), selected)
 
 
 @_fp_ignored
@@ -591,10 +624,10 @@ def pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveRepor
     per constraint block).  A step whose marginals overflow ends the run
     ``numeric_failure``.
     """
-    st = _Scaling(problem)
+    st = _Scaling(problem, cfg.tol)
     eta = 0.5 if cfg.eta is None else float(cfg.eta)
     both = slice(0, st.pq.size)
-    return st.report(_iterate(cfg, callback, st.snapshot, lambda k: st.scale(both, eta), st.plan, st.objectives))
+    return st.report(st.run(cfg, callback, lambda k: st.scale(both, eta)))
 
 
 @_fp_ignored
@@ -629,7 +662,7 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     tol is measured again on the plan's own sums, by absorbing W, before the
     run may stop ``converged``.
     """
-    st = _Scaling(problem)
+    st = _Scaling(problem, cfg.tol)
     n, pq = st.n, st.pq
     L = 2.0 if cfg.eta is None else 1.0 / float(cfg.eta)
     t = 1.0
@@ -709,11 +742,8 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         L /= 1.5
         return True
 
-    def current() -> np.ndarray:
-        return np.exp(W[:n, None] + st.logK + W[None, n:])
-
-    run = _iterate(cfg, callback, measure, step, current, list)
-    if st.w is not W:  # report W itself as the potentials, and its plan as current() builds it
+    run = _iterate(cfg, callback, measure, step, lambda: _gibbs(W[:n], st.logK, W[n:]), list)
+    if st.w is not W:  # report W itself as the potentials, and its plan as the callbacks get it
         st._absorb(W)
     return st.report(run)
 
@@ -735,11 +765,10 @@ def solve(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveReport:
         return pinkhorn(problem, cfg, callback)
     if cfg.method == "acc_pinkhorn":
         return acc_pinkhorn(problem, cfg, callback)
-    st = _Scaling(problem)
+    st = _Scaling(problem, cfg.tol)
     if not np.all(st.K > 0.0):
         # an underflowed entry is outside the entropy domain, so every step fails
-        run = _iterate(cfg, callback, st.snapshot, lambda k: False, lambda: st.K, st.objectives)
-        return SolveReport(final_iterate=st.K, **run)
+        return SolveReport(final_iterate=st.K, **st.run(cfg, callback, lambda k: False))
     cb = None if callback is None else lambda k, vec: callback(k, vec.reshape(problem.shape))
     report = solve_smd(as_constraint_system(problem), st.K.reshape(-1), cfg, cb)
     report.final_iterate = report.final_iterate.reshape(problem.shape)

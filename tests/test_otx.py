@@ -18,6 +18,7 @@ from pinkhorn import (
     transport_cost,
 )
 from pinkhorn.kernel import kl_terms
+from pinkhorn.otx import _L1, _violation, _violations
 
 
 def toy_problem(gamma=1.0):
@@ -236,3 +237,107 @@ class TestRounding:
         shift = abs(transport_cost(prob, out) - transport_cost(prob, plan))
         bound = float(np.abs(prob.cost).max()) * marginal_violation(prob, plan)
         assert shift <= bound + 1e-12
+
+
+class TestL1:
+    """``_L1`` proves a violation above tol only where ``_violation`` gives one above tol."""
+
+    @staticmethod
+    def call(l1, rc, pq, n, tol) -> bool:
+        """One call, checked: a proof holds, and a value is ``_violation``'s, bit for bit.  True for a proof.
+
+        Floating-point errors are ignored, as inside a solve.
+        """
+        with np.errstate(all="ignore"):
+            exact = _violation(rc, pq, n)
+            got = l1(rc, rc[rc.argmax()])
+        if got is None:
+            assert exact > tol, (exact, tol)
+            return True
+        assert got == exact or (np.isnan(got) and np.isnan(exact))
+        return False
+
+    @staticmethod
+    def marginals(rng, pq):
+        """Nonnegative marginals whose gaps to ``pq`` run from rounding level to the size of pq, with some zeros."""
+        size = pq.size
+        kind = rng.integers(3)
+        if kind == 0:  # gaps of one relative size, down to rounding level
+            rc = pq * (1.0 + 10.0 ** rng.uniform(-17, 0) * rng.standard_normal(size))
+        elif kind == 1:  # gaps of every relative size
+            rc = pq * (1.0 + 10.0 ** rng.uniform(-17, 0, size) * rng.standard_normal(size))
+        else:  # unrelated to pq
+            rc = pq.mean() * rng.uniform(0.0, 3.0, size)
+        rc[rng.random(size) < 0.1] = 0.0
+        return np.maximum(rc, 0.0)
+
+    def test_every_proof_holds(self):
+        rng = np.random.default_rng(40)
+        proofs = tight = 0
+        for _ in range(1000):
+            size = int(rng.integers(2, 41))
+            n = int(rng.integers(1, size))
+            pq = 10.0 ** rng.uniform(-300, 300) * rng.uniform(0.1, 2.0, size)
+            rc = self.marginals(rng, pq)
+            exact = _violation(rc, pq, n)
+            # tol straddling the first violation by a few ulps, and anywhere in [1e-300, 10]
+            ulps = 2.0 ** -52 * np.array([-2**20, -2**16, -2**12, -2**8, -8, -2, -1, 0, 1, 2, 8])
+            tols = [t for t in exact * (1.0 + ulps) if 1e-300 <= t <= 10.0] + [10.0 ** rng.uniform(-300, 1)]
+            for tol in tols:
+                l1 = _L1(pq, n, tol)
+                assert not self.call(l1, rc, pq, n, tol)  # no signs yet: evaluated
+                proved = self.call(l1, rc, pq, n, tol)  # the signs of rc's own gaps
+                proofs += proved
+                tight += proved and exact <= tol * (1.0 + 1e-9)
+                # sign patterns that flip: some gaps mirrored, new marginals, then rc again
+                flip = rng.random(size) < 0.5
+                mirrored = np.where(flip, np.maximum(2.0 * pq - rc, 0.0), rc)
+                for other in (mirrored, self.marginals(rng, pq), rc * (1.0 + 2.0 ** -52), rc):
+                    proofs += self.call(l1, other, pq, n, tol)
+        assert proofs > 4000 and tight > 10
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_inf_and_nan_are_evaluated(self, bad):
+        rng = np.random.default_rng(3)
+        pq = rng.uniform(0.5, 1.5, 12)
+        l1 = _L1(pq, 5, 1e-9)
+        rc = 2.0 * pq
+        assert not self.call(l1, rc, pq, 5, 1e-9) and self.call(l1, rc, pq, 5, 1e-9)
+        signs = l1.signs.copy()
+        for i in (0, 4, 11):
+            rc_bad = rc.copy()
+            rc_bad[i] = bad
+            assert not self.call(l1, rc_bad, pq, 5, 1e-9)
+            assert (l1.signs == signs).all()  # a NaN or inf gap keeps the signs
+            self.call(l1, rc, pq, 5, 1e-9)  # an inf top's threshold is inf: no test next
+            assert self.call(l1, rc, pq, 5, 1e-9)
+
+    def test_a_value_no_signs_can_prove_skips_the_next_test(self):
+        rng = np.random.default_rng(5)
+        pq = rng.uniform(0.5, 1.5, 12)
+        l1 = _L1(pq, 5, 1e-9)
+        far, near = 2.0 * pq, pq * (1.0 + 1e-13 * rng.standard_normal(12))
+        assert not self.call(l1, far, pq, 5, 1e-9) and self.call(l1, far, pq, 5, 1e-9)
+        signs = l1.signs.copy()
+        assert not self.call(l1, near, pq, 5, 1e-9)  # at rounding level: the signs stay
+        assert (l1.signs == signs).all()
+        assert not self.call(l1, far, pq, 5, 1e-9)  # no test after it
+        assert self.call(l1, far, pq, 5, 1e-9)
+
+    def test_an_overflowing_product_is_evaluated(self):
+        # rc . s overflows while s . pq does not, and the violation is below tol
+        pq = np.full(2, 8.98e307)
+        rc = np.full(2, 8.99e307)
+        tol = 1e306
+        l1 = _L1(pq, 1, tol)
+        assert not self.call(l1, pq + 1e306, pq, 1, tol)  # the signs: both gaps positive
+        assert (l1.signs == 1.0).all()
+        assert not self.call(l1, rc, pq, 1, tol)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_stack_of_violations_equals_each_ones(self, seed):
+        rng = np.random.default_rng(seed)
+        for size, n in [(2, 1), (9, 4), (160, 80), (300, 7)]:
+            pq = rng.uniform(0.5, 1.5, size)
+            rcs = [pq * (1.0 + 10.0 ** rng.uniform(-16, 0) * rng.standard_normal(size)) for _ in range(17)]
+            assert _violations(rcs, pq, n) == [_violation(rc, pq, n) for rc in rcs]

@@ -29,7 +29,7 @@ from pinkhorn import (
     solve,
     solve_smd,
 )
-from pinkhorn import solvers
+from pinkhorn import otx, solvers
 from pinkhorn.checks import _random_problem
 from pinkhorn.kernel import kl_terms, log_sum_exp
 
@@ -407,7 +407,7 @@ class TestScalingProducts:
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3)])
     def test_row_then_column_step(self, shape):
-        st = solvers._Scaling(random_ot(np.random.default_rng(sum(shape)), shape[0], m=shape[1]))
+        st = solvers._Scaling(random_ot(np.random.default_rng(sum(shape)), shape[0], m=shape[1]), SolverConfig().tol)
         n, size = st.n, st.pq.size
         w = st.w
         assert st.scale(slice(0, n))
@@ -418,7 +418,7 @@ class TestScalingProducts:
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3)])
     def test_both_sides_and_refresh(self, shape):
-        st = solvers._Scaling(random_ot(np.random.default_rng(10 + sum(shape)), shape[0], m=shape[1]))
+        st = solvers._Scaling(random_ot(np.random.default_rng(10 + sum(shape)), shape[0], m=shape[1]), SolverConfig().tol)
         assert st.scale(slice(0, st.pq.size), 0.5)
         self.assert_products(st)
         st.ab = st.ab * np.linspace(0.5, 1.5, st.ab.size)
@@ -1134,7 +1134,8 @@ class TestErrorState:
         assert read == expected and np.inf in [objective for objective, _ in read]
 
 
-# the steps that read the penalties or the objective: their snapshot is what they read
+# the steps that read the penalties or the objective: acc_pinkhorn's and greedy
+# smd's snapshot is what they read, greenkhorn's is its marginals
 GREEDY_OR_ACCELERATED = [("greenkhorn", "cyclic"), ("acc_pinkhorn", "cyclic"), ("smd", "greedy")]
 
 
@@ -1143,21 +1144,29 @@ class TestTraceObjectives:
 
     @staticmethod
     def spy(monkeypatch, nbytes=None):
-        """Record the size of every batch of objectives ``_iterate`` evaluates, and into ``nbytes`` its snapshots' bytes."""
-        batches = []
+        """Record the size of every batch of objectives and of violations ``_iterate`` evaluates.
+
+        Returns the two lists of batch sizes; ``nbytes``, if given, gets the
+        bytes of each objective batch's snapshots.
+        """
+        batches, violation_batches = [], []
         iterate = solvers._iterate
 
-        def wrapped(cfg, callback, measure, step, current, objectives):
+        def wrapped(cfg, callback, measure, step, current, objectives, violations=None):
             def counted(snapshots):
                 batches.append(len(snapshots))
                 if nbytes is not None:
                     nbytes.append(sum(s.nbytes for s in snapshots))
                 return objectives(snapshots)
 
-            return iterate(cfg, callback, measure, step, current, counted)
+            def counted_violations(snapshots):
+                violation_batches.append(len(snapshots))
+                return violations(snapshots)
+
+            return iterate(cfg, callback, measure, step, current, counted, violations and counted_violations)
 
         monkeypatch.setattr(solvers, "_iterate", wrapped)
-        return batches
+        return batches, violation_batches
 
     @staticmethod
     def measured(monkeypatch, prob, cfg, callback=None):
@@ -1179,18 +1188,16 @@ class TestTraceObjectives:
             b = system.b
             return report, [(float(np.add.reduce(kl_terms(s, b))), float(np.add.reduce(np.abs(s - b)))) for s in seen]
         n, add = prob.shape[0], np.add.reduce
-        measurements = []
-        if cfg.method == "greenkhorn":  # its own measurement gives each iterate's penalties
-            penalties = solvers._penalties
-            monkeypatch.setattr(solvers, "_penalties", lambda *a: measurements.append(penalties(*a)) or measurements[-1])
-        else:
-            pq = np.concatenate((prob.p, prob.q))
-            snapshot = solvers._Scaling.snapshot
-            monkeypatch.setattr(
-                solvers._Scaling, "snapshot", lambda st: measurements.append(solvers._penalties(st.rc, pq, n)) or snapshot(st)
-            )
+        pq = np.concatenate((prob.p, prob.q))
+        marginals = []  # the marginals of every measurement, which the snapshot may not evaluate
+        snapshot = solvers._Scaling.snapshot
+        monkeypatch.setattr(solvers._Scaling, "snapshot", lambda st: marginals.append(st.rc.copy()) or snapshot(st))
         report = solve(prob, cfg, callback=None if callback is None else lambda k, x: callback(k))
-        return report, [(float(add(per[:n]) + add(per[n:])), violation) for per, violation in measurements]
+        measurements = []
+        for rc in marginals:
+            per, gap = kl_terms(rc, pq), np.abs(rc - pq)
+            measurements.append((float(add(per[:n]) + add(per[n:])), float(add(gap[:n]) + add(gap[n:]))))
+        return report, measurements
 
     @pytest.mark.parametrize(
         "method, sampling",
@@ -1202,11 +1209,11 @@ class TestTraceObjectives:
     @pytest.mark.parametrize("max_iter", [255, 1230, 1237])
     def test_batched_objectives_equal_per_iterate_ones(self, monkeypatch, method, sampling, max_iter):
         assert solvers._OBJECTIVE_CHUNK == 128 and solvers._DENSE_TRACE_LIMIT == 1000
-        batches = self.spy(monkeypatch)
+        batches, violation_batches = self.spy(monkeypatch)
         prob = random_ot(np.random.default_rng(49), 6, gamma=0.002)
         cfg = SolverConfig(method=method, sampling=sampling, tol=1e-300, max_iter=max_iter, seed=3)
         report, ref = self.measured(monkeypatch, prob, cfg)
-        assert batches == []  # nothing is evaluated before the trace is read
+        assert batches == [] and violation_batches == []  # nothing is evaluated before the trace is read
         assert (report.stop_reason, report.iterations) == ("max_iter", max_iter)
         iters = [e.iteration for e in report.trace]
         assert iters == sorted(set(range(min(max_iter, 1000) + 1)) | set(range(1010, max_iter + 1, 10)) | {max_iter})
@@ -1214,6 +1221,9 @@ class TestTraceObjectives:
             assert (e.objective, e.violation_l1) == ref[e.iteration]
         assert sum(batches) == len(report.trace)
         assert max(batches) <= solvers._OBJECTIVE_CHUNK
+        # the scaling methods prove most violations above tol and evaluate them on read
+        assert (sum(violation_batches) > len(report.trace) // 2) == (method != "smd")
+        assert max(violation_batches, default=0) <= solvers._OBJECTIVE_CHUNK
         if max_iter != 1237:
             assert batches == [solvers._OBJECTIVE_CHUNK] * (len(report.trace) // solvers._OBJECTIVE_CHUNK)
 
@@ -1223,11 +1233,11 @@ class TestTraceObjectives:
         # 64 KB before 128 entries are kept
         assert solvers._OBJECTIVE_BYTES == 64 * 1024
         nbytes = []
-        batches = self.spy(monkeypatch, nbytes)
+        batches, violation_batches = self.spy(monkeypatch, nbytes)
         prob = random_ot(np.random.default_rng(50), 60, gamma=0.1, m=80)
         cfg = SolverConfig(method=method, sampling=sampling, tol=1e-300, max_iter=200, seed=3)
         report, ref = self.measured(monkeypatch, prob, cfg)
-        assert batches == []
+        assert batches == [] and violation_batches == []
         assert (report.stop_reason, report.iterations) == ("max_iter", 200)
         assert [e.iteration for e in report.trace] == list(range(201))
         for e in report.trace:
@@ -1237,10 +1247,10 @@ class TestTraceObjectives:
 
     @pytest.mark.parametrize("eta, stop", [(None, "converged"), (2.0, "numeric_failure")])
     def test_pinkhorn_objectives_at_a_stop_before_max_iter(self, monkeypatch, eta, stop):
-        batches = self.spy(monkeypatch)
+        batches, violation_batches = self.spy(monkeypatch)
         prob = random_ot(np.random.default_rng(0), 8, gamma=0.1)
         report, ref = self.measured(monkeypatch, prob, SolverConfig(method="pinkhorn", eta=eta, max_iter=2000))
-        assert batches == []
+        assert batches == [] and violation_batches == []
         assert report.stop_reason == stop
         assert [e.iteration for e in report.trace] == list(range(report.iterations + 1))
         for e in report.trace:
@@ -1249,9 +1259,9 @@ class TestTraceObjectives:
 
     @pytest.mark.parametrize("method, sampling", GREEDY_OR_ACCELERATED)
     def test_methods_that_read_penalties_batch_their_objectives(self, monkeypatch, method, sampling):
-        batches = self.spy(monkeypatch)
+        batches, violation_batches = self.spy(monkeypatch)
         report = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method=method, sampling=sampling))
-        assert batches == []
+        assert batches == [] and violation_batches == []
         trace = report.trace
         assert report.stop_reason == "converged"
         assert len(trace) > 1 and sum(batches) == len(trace)
@@ -1263,7 +1273,7 @@ class TestTraceObjectives:
         # evaluates its oldest 58-entry chunk then, and twice more
         assert solvers._PENDING_BYTES == 1024 * 1024
         nbytes = []
-        batches = self.spy(monkeypatch, nbytes)
+        batches, violation_batches = self.spy(monkeypatch, nbytes)
         pending = []
 
         def count(k):
@@ -1281,10 +1291,10 @@ class TestTraceObjectives:
         assert max(nbytes) <= solvers._OBJECTIVE_BYTES
 
     def test_a_read_trace_drops_its_snapshots(self, monkeypatch):
-        batches = self.spy(monkeypatch)
+        batches, violation_batches = self.spy(monkeypatch)
         report = solve(random_ot(np.random.default_rng(5), 5), SolverConfig(method="pinkhorn"))
         trace = report.trace
-        assert trace._kept is not None and batches == []
+        assert trace._kept is not None and batches == [] and violation_batches == []
         first = trace[-1]
         assert trace._kept is None and sum(batches) == len(trace)
         # every later read, of any kind, gives the same entries and evaluates nothing more
@@ -1309,6 +1319,51 @@ class TestTraceObjectives:
             "violation_l1": report.trace[-1].violation_l1,
             "time_ms": report.trace[-1].time_ms,
         }
+
+
+class TestViolationProof:
+    """The one-product proof that a violation is above tol changes no run."""
+
+    @staticmethod
+    def fields(report) -> tuple:
+        """Everything a report holds but the trace's times."""
+        pot = None if report.potentials is None else (report.potentials.u.tobytes(), report.potentials.v.tobytes())
+        trace = [(e.iteration, e.objective, e.violation_l1) for e in report.trace]
+        return report.stop_reason, report.iterations, report.final_iterate.tobytes(), pot, report.selected, trace
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_reports_equal_with_the_proof_off(self, monkeypatch, method):
+        cases = [
+            (random_ot(np.random.default_rng(seed), 8, gamma=0.1), SolverConfig(method=method, tol=tol, max_iter=1500))
+            for seed in (0, 1)
+            for tol in (1e-6, 1e-12, 1e-300)
+        ]
+        # eta 2 and 2.5 diverge: sinkhorn and pinkhorn end numeric_failure
+        cases += [
+            (random_ot(np.random.default_rng(seed), 8, gamma=0.1), SolverConfig(method=method, eta=eta, max_iter=2000))
+            for seed in (0, 2)
+            for eta in (2.0, 2.5)
+        ]
+        proofs = []
+        call = otx._L1.__call__
+        monkeypatch.setattr(otx._L1, "__call__", lambda l1, rc, top: proofs.append(call(l1, rc, top)) or proofs[-1])
+        default = [self.fields(solve(prob, cfg)) for prob, cfg in cases]
+        measured = len(proofs)
+        init = otx._L1.__init__
+
+        def never(l1, *args):  # the test can never pass: every violation is evaluated
+            init(l1, *args)
+            l1.floor = np.inf
+
+        monkeypatch.setattr(otx._L1, "__init__", never)
+        assert [self.fields(solve(prob, cfg)) for prob, cfg in cases] == default
+        assert None not in proofs[measured:] and len(proofs) == 2 * measured
+        if method in ("sinkhorn", "greenkhorn", "pinkhorn"):
+            assert proofs.count(None) > measured // 3
+        else:  # acc_pinkhorn and smd keep their exact violation
+            assert measured == 0
+        if method in ("sinkhorn", "pinkhorn"):
+            assert [fields[0] for fields in default[6:]] == ["numeric_failure"] * 4
 
 
 # rows 3 and 0 share block 0, rows 2 and 4 block 2: neither block is a
