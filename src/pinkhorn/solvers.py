@@ -640,27 +640,31 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     (W - W_prev), t' = (1 + sqrt(1 + 4 t^2)) / 2, and takes pinkhorn's
     mirror step from y: W+ = y - g / L with g = log(rc(y) / pq), the
     stacked log ratios of the marginals to their targets (log rc - log pq
-    where the ratio overflows).  L is doubled
-    until the Armijo test on marginals
+    where the ratio overflows).  L is doubled until the Armijo test on
+    marginals
 
         f(W+) <= f(y) + <g, rc(W+) - rc(y)> / 2
 
     holds or L reaches 2: from there on the step is a pinkhorn step within
-    the relative-smoothness bound, which never raises f(y).  After an
-    accepted step L is divided by 1.5.  A step that would raise the
-    objective above f(W) is not taken: t resets to 1 and the next step
-    starts from W (function-value restart), so the recorded objective never
-    rises.  When the rejected step had no momentum already, f is flat to
-    rounding there, and the next step starts from its W+ instead of
-    repeating it.  When no trial point has marginals in range, the next
-    step restarts from W with the doubled L; where that step would repeat
-    this one exactly (it started from W and L did not change), the run ends
-    ``numeric_failure``.  Marginals are f * (K~ f_b, f_a K~) with
-    f = exp(W - w), two matrix-vector products per point; a point whose
-    scalings leave the range of ``_Scaling`` is absorbed into K~.  An empty
-    row or column at y ends the run ``numeric_failure``.  A violation within
-    tol is measured again on the plan's own sums, by absorbing W, before the
-    run may stop ``converged``.
+    the relative-smoothness bound, which never raises f(y), so f(y) is
+    formed only for a test that reads it.  After an accepted step L is
+    halved when neither that step nor the accepted step before it doubled
+    L: a doubled L is held for two steps instead of being cut straight
+    back to a value that fails, and restarts leave this record as it was.
+    A step that would raise the objective above f(W) is not taken: t resets
+    to 1 and the next step starts from W (function-value restart), so the
+    recorded objective never rises.  When the rejected step had no momentum
+    already, f is flat to rounding there, and the next step starts from its
+    W+ instead of repeating it.  When no trial point has marginals in
+    range, the next step restarts from W with the doubled L; where that
+    step would repeat this one exactly (it started from W and L did not
+    change), the run ends ``numeric_failure``.  Marginals are f * (K~ f_b,
+    f_a K~) with f = exp(W - w), two matrix-vector products per point; a
+    point whose scalings leave the range of ``_Scaling`` is absorbed into
+    K~.  An extrapolated y whose marginals leave the range restarts from W;
+    an empty row or column at y ends the run ``numeric_failure``.  A
+    violation within tol is measured again on the plan's own sums, by
+    absorbing W, before the run may stop ``converged``.
     """
     st = _Scaling(problem, cfg.tol)
     n, pq = st.n, st.pq
@@ -669,6 +673,7 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
     W = W_prev = st.w  # the start's scalings are 1, so its marginals are the plan's own sums
     rc_W = st.rc
     resume = None  # (point, marginals, objective) the next step starts from instead of W
+    kept = False  # whether the last accepted step kept L
     obj_W = _objective(rc_W, pq, n)
 
     kab = np.empty(pq.size)  # buffer for K~ f_b and f_a K~
@@ -698,7 +703,7 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
         return obj_W, violation
 
     def step(k: int) -> bool:
-        nonlocal W, W_prev, rc_W, obj_W, t, L, resume
+        nonlocal W, W_prev, rc_W, obj_W, t, L, resume, kept
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         resumed = resume is not None
         if resumed:
@@ -707,10 +712,10 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             y, rc_y, obj_y = W, rc_W, obj_W
         else:
             y = W + ((t - 1.0) / t_next) * (W - W_prev)
-            rc_y = marginals(y)
-            obj_y = None if rc_y is None else _objective(rc_y, pq, n)
-        if rc_y is None:
-            return False
+            rc_y, obj_y = marginals(y), None  # f(y) is formed for the first Armijo test
+            if rc_y is None:  # y left the domain: drop the momentum
+                W_prev, t = W, 1.0
+                return True
         g = np.log(rc_y / pq)
         if not abs(np.add.reduce(g)) < np.inf:  # an entry is -inf, inf or NaN
             if not rc_y.all():
@@ -724,7 +729,11 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             if rc_new is not None:
                 obj_new = _objective(rc_new, pq, n)
                 # from L = 2 on, f is 2-relatively smooth and the step cannot raise f(y)
-                if L >= 2.0 or obj_new <= obj_y + 0.5 * float(g @ (rc_new - rc_y)):
+                if L >= 2.0:
+                    break
+                if obj_y is None:
+                    obj_y = _objective(rc_y, pq, n)
+                if obj_new <= obj_y + 0.5 * float(g @ (rc_new - rc_y)):
                     break
             L *= 2.0
         else:  # no trial point has marginals in range
@@ -739,7 +748,9 @@ def acc_pinkhorn(problem: OTProblem, cfg: SolverConfig, callback=None) -> SolveR
             W_prev, t = W, 1.0
             return True
         W_prev, W, rc_W, obj_W, t = W, w_new, rc_new, obj_new, t_next
-        L /= 1.5
+        kept, kept_before = L == L_y, kept
+        if kept and kept_before:
+            L /= 2.0
         return True
 
     run = _iterate(cfg, callback, measure, step, lambda: _gibbs(W[:n], st.logK, W[n:]), list)

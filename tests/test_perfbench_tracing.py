@@ -136,8 +136,8 @@ def test_acc_pinkhorn_measures_each_objective_with_one_kl_call(monkeypatch):
     assert report.stop_reason == "converged"
     totals = tracer.layer_totals()
     assert tracer.iterations["solvers.acc_pinkhorn"] == report.iterations
-    # the start, then f(y) once per step with momentum and f(W+) once per
-    # line-search trial, all on marginals
+    # the start, then f(W+) once per line-search trial and f(y) once per
+    # Armijo test, all on marginals
     assert len(evaluations) > report.iterations + 1
     assert totals["otx.kl_terms"]["calls"] == len(evaluations)
     assert totals["kernel.kl_terms"]["calls"] == 0

@@ -589,6 +589,30 @@ class TestPinkhorn:
         )
 
 
+# the contract grid's cost and marginal kinds, drawn from one generator per input
+CONTRACT_COSTS = {
+    "uniform": lambda rng, n, m: rng.random((n, m)),
+    "negative": lambda rng, n, m: -rng.random((n, m)),
+    "normal_1e3": lambda rng, n, m: rng.normal(0.0, 1e3, (n, m)),
+    "sq_euclidean": lambda rng, n, m: ((rng.uniform(0, 10, (n, 1, 2)) - rng.uniform(0, 10, (1, m, 2))) ** 2).sum(axis=-1),
+    "constant": lambda rng, n, m: np.full((n, m), 3.0),
+}
+CONTRACT_MARGINALS = {
+    "uniform": lambda rng, n: np.ones(n),
+    "random": lambda rng, n: rng.uniform(0.5, 1.5, n),
+    "tiny_entry": lambda rng, n: np.concatenate(([1e-200], np.ones(n - 1))),
+    "log_uniform": lambda rng, n: np.exp(rng.uniform(-30.0, 0.0, n)),
+}
+
+
+def contract_problem(shape, cost, gamma, marginals, seed=0):
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    c = CONTRACT_COSTS[cost](rng, n, m)
+    p, q = CONTRACT_MARGINALS[marginals](rng, n), CONTRACT_MARGINALS[marginals](rng, m)
+    return OTProblem(cost=c, gamma=gamma, p=p / p.sum(), q=q / q.sum())
+
+
 class TestAccPinkhorn:
     def test_exhausted_doublings_without_momentum_end_numeric_failure(self, monkeypatch):
         # no trial point is ever tried, so the first step from the start
@@ -627,6 +651,96 @@ class TestAccPinkhorn:
         report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", eta=eta))
         assert report.stop_reason == "converged"
         assert report.trace[1].violation_l1 == report.trace[0].violation_l1 > 8.0
+
+    def test_every_objective_is_read_and_a_step_costs_about_two(self, monkeypatch):
+        # f(W+) is formed once per trial point and read by its Armijo or
+        # restart test; f(y) is formed only for an Armijo test, which adds to
+        # it.  Holding L for two steps after a doubling keeps most steps at
+        # one trial: 131 objectives in 64 iterations here, where dividing L
+        # by 1.5 after every step and forming f(y) at every extrapolation
+        # takes 184 in 74
+        class Objective(float):
+            read = False
+
+            def mark(self, other):
+                for value in (self, other):
+                    if isinstance(value, Objective):
+                        value.read = True
+                return float(self), float(other)
+
+            def __add__(self, other):
+                a, b = self.mark(other)
+                return a + b
+
+            def __le__(self, other):
+                a, b = self.mark(other)
+                return a <= b
+
+            def __gt__(self, other):
+                a, b = self.mark(other)
+                return a > b
+
+        formed = []
+        objective = solvers._objective
+
+        def recording(*args):
+            formed.append(Objective(objective(*args)))
+            return formed[-1]
+
+        monkeypatch.setattr(solvers, "_objective", recording)
+        prob = point_cloud(np.random.default_rng(0), 30, 0.02)
+        report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", tol=1e-6))
+        assert report.stop_reason == "converged"
+        assert all(value.read for value in formed)
+        assert len(formed) <= 2.2 * (report.iterations + 1)
+
+    def test_descent_from_a_large_step_constant(self):
+        # eta 1e-3 starts L at 1000: steps that keep L halve it from the
+        # second on, so L is below 2 within about ten steps; dividing by 1.5
+        # after every step needs 74 iterations here, halving at most every
+        # other step 82
+        prob = point_cloud(np.random.default_rng(0), 30, 0.05)
+        report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", eta=1e-3, tol=1e-8, max_iter=75))
+        assert report.stop_reason == "converged"
+
+    def test_an_extrapolated_point_out_of_range_restarts_from_w(self):
+        # at iteration 40 the marginals of the extrapolated point y leave the
+        # range (p_0 and q_0 are 2.5e-201); the step from W that follows converges
+        prob = contract_problem((5, 5), "sq_euclidean", 0.01, "tiny_entry", seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", tol=1e-8, max_iter=600))
+        assert report.stop_reason == "converged"
+        assert report.iterations == 41
+        assert marginal_violation(prob, report.final_iterate) <= 1e-8
+
+    @pytest.mark.parametrize("marginals", CONTRACT_MARGINALS)
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0])
+    @pytest.mark.parametrize("cost", CONTRACT_COSTS)
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 7)], ids=["1x5", "5x1", "7x7"])
+    def test_contract_grid(self, shape, cost, gamma, marginals):
+        self.check_contract(contract_problem(shape, cost, gamma, marginals))
+
+    def test_contract_where_a_marginal_ratio_overflows(self):
+        # the 1x5 input on which acc_pinkhorn once stalled
+        cost = [[-0.54146122, -0.29971189, -0.42268722, -0.02831967, -0.12428328]]
+        q = np.array([1e-200, 1.0, 1.0, 1.0, 1.0])
+        report = self.check_contract(OTProblem(cost=cost, gamma=1e-3, p=[1.0], q=q / q.sum()))
+        assert report.stop_reason == "converged"
+
+    @staticmethod
+    def check_contract(prob):
+        tol = 1e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = acc_pinkhorn(prob, SolverConfig(method="acc_pinkhorn", tol=tol, max_iter=300))
+        assert report.stop_reason in ("converged", "max_iter", "numeric_failure")
+        plan = report.final_iterate
+        assert np.all(np.isfinite(plan)) and np.all(plan >= 0.0)
+        assert report.trace[-1].iteration == report.iterations
+        if report.stop_reason == "converged":
+            assert marginal_violation(prob, plan) <= tol
+        return report
 
     def test_feasible_start_stops_immediately(self):
         report = acc_pinkhorn(feasible_start_problem(), SolverConfig(method="acc_pinkhorn"))
