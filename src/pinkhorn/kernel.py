@@ -19,6 +19,7 @@ __all__ = [
     "bregman_div",
     "log_sum_exp",
 ]
+_F64 = np.dtype(np.float64)  # native float64; builtin dtypes are singletons
 
 
 def as_positive_vector(x) -> np.ndarray:
@@ -42,6 +43,7 @@ def _check_same_shape(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def kl_terms(x, y) -> np.ndarray:
     """Elementwise KL terms x log(x/y) - x + y, computed without cancellation.
 
@@ -52,35 +54,38 @@ def kl_terms(x, y) -> np.ndarray:
     staying resolvable.  Inputs must be nonnegative arrays of matching
     shape, or a ``y`` that broadcasts to the shape of ``x`` (one target
     vector for a stack of them); a term with x = y = 0 is 0, and a term is
-    inf only where it lies beyond the double range.
+    inf only where it lies beyond the double range.  Divide, overflow and
+    invalid are ignored; underflow and the error callback stay the caller's.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # h = ratio log1p(t) - t is formed in the ratio buffer (an array even
-        # for 0-d inputs), in the operation order of that expression
-        h = np.divide(x, y, out=np.empty_like(x))
-        t = h - 1.0
-        np.multiply(h, np.log1p(t), out=h)
-        np.subtract(h, t, out=h)
-        # h is -inf or NaN only at the two limits, where the term is y |t|:
-        # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may
-        # even underflow to zero), and y (1 - r + r log r) = y to an ulp;
-        # when x/y overflows, t is inf.  At x = y = 0, 0/0 is NaN and the
-        # term is 0 (0 log 0 = 0).  h is inf where x/y or x/y log(x/y)
-        # overflows, yet the term x (log x - log y) - x + y may be finite:
-        # there it is taken in logs, and is inf only beyond the double range.
-        # One sum finds all three, and is finite on the common path
-        overflow = None
-        if not abs(np.add.reduce(h, axis=None)) < np.inf:
-            np.copyto(h, np.where(x == y, 0.0, np.abs(t)), where=~(h > -np.inf))
-            overflow = (h == np.inf) & (x < np.inf)
-        # each term is mathematically >= 0; shave off negative roundoff
-        np.maximum(h, 0.0, out=h)
-        np.multiply(h, y, out=h)
-        if overflow is not None and overflow.any():
-            np.copyto(h, x * (np.log(x) - np.log(y)) - x + y, where=overflow)
-        return h
+    if type(x) is not np.ndarray or x.dtype is not _F64:
+        x = np.asarray(x, dtype=np.float64)
+    if type(y) is not np.ndarray or y.dtype is not _F64:
+        y = np.asarray(y, dtype=np.float64)
+    # h = ratio log1p(t) - t is formed in the ratio buffer (an array even
+    # for 0-d inputs), in the operation order of that expression
+    h = np.divide(x, y, out=np.empty_like(x))
+    t = h - 1.0
+    np.multiply(h, np.log1p(t), out=h)
+    np.subtract(h, t, out=h)
+    # h is -inf or NaN only at the two limits, where the term is y |t|:
+    # below x/y = 2^-54, t rounds to -1 and log1p(-1) = -inf (x/y may
+    # even underflow to zero), and y (1 - r + r log r) = y to an ulp;
+    # when x/y overflows, t is inf.  At x = y = 0, 0/0 is NaN and the
+    # term is 0 (0 log 0 = 0).  h is inf where x/y or x/y log(x/y)
+    # overflows, yet the term x (log x - log y) - x + y may be finite:
+    # there it is taken in logs, and is inf only beyond the double range.
+    # One sum of squares finds all three, and is finite on the common path
+    # (past |h| ~ 1e154 it overflows too, where the branch changes nothing)
+    overflow = None
+    if not np.vdot(h, h) < np.inf:
+        np.copyto(h, np.where(x == y, 0.0, np.abs(t)), where=~(h > -np.inf))
+        overflow = (h == np.inf) & (x < np.inf)
+    # each term is mathematically >= 0; shave off negative roundoff
+    np.maximum(h, 0.0, out=h)
+    np.multiply(h, y, out=h)
+    if overflow is not None and overflow.any():
+        np.copyto(h, x * (np.log(x) - np.log(y)) - x + y, where=overflow)
+    return h
 
 
 def kl_div(x, y) -> float:

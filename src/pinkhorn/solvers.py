@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import operator
 import time
 from collections.abc import Sequence
@@ -356,7 +357,8 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
     if x.size != system.dimension:
         raise ValueError(f"x0 has length {x.size}, expected {system.dimension}")
     eta = 1.0 if cfg.eta is None else float(cfg.eta)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)  # uniform blocks, 256 draws at a time: PCG64 gives single draws' sequence
+    blocks = itertools.chain.from_iterable(rng.integers(system.n_blocks, size=256).tolist() for _ in itertools.count())
     # one scratch buffer and a second iterate for the whole run: a step
     # writes its candidate into z and the two swap when it is accepted
     work, z = system._workspace(), np.empty_like(x)
@@ -388,7 +390,7 @@ def solve_smd(system: ConstraintSystem, x0, cfg: SolverConfig, callback=None) ->
         if cfg.sampling == "cyclic":
             block = (k - 1) % system.n_blocks
         elif cfg.sampling == "uniform":
-            block = int(rng.integers(system.n_blocks))
+            block = next(blocks)
         else:
             block = int(system.block_sums(per).argmax())
         system.block_update(x, s, block, eta, z, work)

@@ -1,5 +1,6 @@
 """Mirror map, divergences, and log-sum-exp."""
 
+import threading
 import warnings
 from decimal import Decimal, localcontext
 
@@ -198,6 +199,131 @@ def test_kl_terms_on_0d_inputs_equals_reference_bit_for_bit():
                 got = kl_terms(*args)
                 assert np.ndim(got) == 0
                 _assert_same_bits(got, _kl_terms_reference(xi, yi))
+
+
+class _F64Subclass(np.ndarray):
+    pass
+
+
+def test_kl_terms_converts_other_inputs_as_asarray_does():
+    # float64 ndarrays are read as they are; everything else goes through
+    # np.asarray(..., float64): lists, other dtypes, byte orders, subclasses
+    x, y = _kl_terms_cases()
+    for convert in (
+        list,
+        lambda a: a.astype(np.float32),
+        lambda a: a.astype(">f8"),
+        lambda a: a.view(_F64Subclass),
+        lambda a: np.round(a).astype(np.int64),
+    ):
+        with np.errstate(all="ignore"):  # the casts overflow and underflow
+            xc, yc = convert(x), y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kl_terms(xc, yc)
+            assert type(got) is np.ndarray
+            _assert_same_bits(got, _kl_terms_reference(np.asarray(xc, dtype=np.float64), yc))
+            _assert_same_bits(kl_terms(yc, xc), _kl_terms_reference(yc, np.asarray(xc, dtype=np.float64)))
+
+
+# the caller's state for divide, overflow and invalid does not reach
+# kl_terms; its underflow state does (kl_terms underflows on some cases)
+_CALLER_STATES = [
+    {"all": "raise", "under": "ignore"},
+    {"all": "warn", "under": "ignore"},
+    {"all": "ignore"},
+    {"divide": "raise", "over": "warn", "invalid": "call", "under": "ignore"},
+]
+
+
+def _call_in_state(state, x, y):
+    """kl_terms(x, y) under ``state``, with warnings as errors; returns (terms, np.geterr() after)."""
+    with np.errstate(**state), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kl_terms(x, y)
+        return got, np.geterr()
+
+
+@pytest.mark.parametrize("state", _CALLER_STATES, ids=lambda s: ",".join(f"{k}={v}" for k, v in s.items()))
+def test_kl_terms_leaves_the_callers_fp_state(state):
+    x, y = _kl_terms_cases()
+    with np.errstate(**state):
+        want_state = np.geterr()
+
+    def callback(kind, flag):
+        pytest.fail(f"error callback for {kind}")
+
+    prior = np.seterrcall(callback)
+    try:
+        got, after = _call_in_state(state, x, y)
+        _assert_same_bits(got, _kl_terms_reference(x, y))
+        assert after == want_state
+        for xi, yi in zip(x, y):
+            got, after = _call_in_state(state, float(xi), float(yi))
+            _assert_same_bits(got, _kl_terms_reference(xi, yi))
+            assert after == want_state
+        assert np.geterrcall() is callback
+    finally:
+        np.seterrcall(prior)
+
+
+def test_kl_terms_underflow_follows_the_caller():
+    # only underflow is the caller's: at x / y = 1e-600 the ratio underflows
+    x, y = np.array([1e-300, 2.0]), np.array([1e300, 1.0])
+    with np.errstate(all="warn"), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        _assert_same_bits(kl_terms(x, y), _kl_terms_reference(x, y))
+    assert seen and all("underflow" in str(w.message) for w in seen)
+    with np.errstate(all="ignore", under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        kl_terms(x, y)
+
+
+def test_kl_terms_fp_state_is_per_thread():
+    # two threads in different states call kl_terms in turn: each sees its
+    # own state after every call, and the same terms
+    x, y = _kl_terms_cases()
+    want = _kl_terms_reference(x, y)
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def worker(state):
+        try:
+            with np.errstate(**state):
+                own = np.geterr()
+                for _ in range(200):
+                    barrier.wait(timeout=10)
+                    got, after = _call_in_state(state, x, y)
+                    _assert_same_bits(got, want)
+                    assert after == own
+        except BaseException as exc:  # reported from the main thread
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=worker, args=(s,)) for s in _CALLER_STATES[:2]]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert not errors, errors
+
+
+def test_kl_terms_where_the_sum_of_squares_overflows():
+    # x / y from 1e150 to 1e305 in steps of an eighth of a decade: every
+    # term is finite, but past h ~ 1e154 the finiteness test's sum of
+    # squares overflows, so the edge branch runs and must change nothing
+    for y in (1e-300, 2.5e-201, 1e-10, 1.0):
+        xs = np.array([float(Decimal(10) ** (Decimal(e) / 8) * Decimal(y)) for e in range(1200, 2441)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kl_terms(xs, y)
+            assert not np.vdot(got / y, got / y) < np.inf  # h = terms / y
+            _assert_same_bits(got, _kl_terms_reference(xs, y))
+            for xi, gi in zip(xs[::40], got[::40]):  # 0-d inputs too
+                _assert_same_bits(kl_terms(xi, y), gi)
+        assert np.all(got < np.inf)
+        want = np.array([_kl_term_decimal(x, y) for x in xs])
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 def test_mirror_map_and_gradients():

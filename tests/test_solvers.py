@@ -236,6 +236,20 @@ class TestSolveSmd:
             assert e1.objective == e2.objective
             assert e1.violation_l1 == e2.violation_l1
 
+    @pytest.mark.parametrize("n_blocks", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_uniform_blocks_are_the_generators_single_draws(self, n_blocks, seed):
+        # blocks are drawn in batches; the sequence must be the seeded
+        # generator's one-at-a-time draws, across batch boundaries too
+        rng = np.random.default_rng(n_blocks)
+        A = rng.uniform(0.1, 1.0, (n_blocks, 6))
+        sys_ = ConstraintSystem.from_dense(A, A @ rng.uniform(0.5, 2.0, 6))
+        assert sys_.n_blocks == n_blocks
+        cfg = SolverConfig(method="smd", sampling="uniform", tol=1e-300, max_iter=600, seed=seed)
+        selected = solve_smd(sys_, np.ones(6), cfg).selected
+        assert len(selected) == 600
+        assert selected == np.random.default_rng(seed).integers(n_blocks, size=len(selected)).tolist()
+
     def test_greedy_picks_largest_block_penalty(self):
         sys_ = toy_system()
         cfg = SolverConfig(method="smd", sampling="greedy", tol=1e-10)
