@@ -1,11 +1,12 @@
 """Entropic transport and KL penalty solvers.
 
 The package treats Sinkhorn-style matrix scaling and mirror descent on a
-KL penalty objective as one family: ``kernel`` holds the entropy mirror
-map and divergences, ``projection`` the closed-form Bregman projections,
-``penalty`` the constraint systems and objective, ``solvers`` the five
-iterative methods, ``otx`` the optimal transport layer, ``oracle`` the
-independent references, and ``cli`` the command line front end.
+KL penalty objective as one family: ``kernel`` holds the KL divergence
+(the entropy map's Bregman divergence and the penalty in one),
+``projection`` the closed-form Bregman projections, ``penalty`` the
+constraint systems and objective, ``solvers`` the five iterative methods,
+``otx`` the optimal transport layer, ``oracle`` the independent
+references, and ``cli`` the command line front end.
 
 Each module's ``__all__`` is the one list of its public names; the
 package re-exports them all.  ``cli`` is not imported here, so that

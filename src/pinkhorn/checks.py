@@ -1,26 +1,21 @@
 """Oracle-backed invariant suite behind the ``check`` CLI command.
 
-Each check draws fresh seeded instances, compares a library computation
-against an independent reference (finite differences, the numeric prox
-oracle, exact identities), and reports one pass/fail row.
+Each check draws fresh seeded instances, runs the code the solvers run, and
+compares it against an independent reference (finite differences, exact
+identities, another method of the family), reporting one pass/fail row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import bregman_div
-from .oracle import fd_gradient, prox_1d_numeric
-from .otx import OTProblem, gibbs_kernel
+from .kernel import kl_div
+from .oracle import fd_gradient
+from .otx import OTProblem, as_constraint_system, gibbs_kernel
 from .penalty import ConstraintSystem, eval_fi, grad_fi
-from .projection import (
-    Hyperplane,
-    bregman_prox_entropy_linear,
-    project_binary,
-    project_general,
-)
+from .projection import Hyperplane
 from .solvers import SolverConfig, greenkhorn, pinkhorn, sinkhorn, solve, solve_smd
 
 __all__ = ["CheckResult", "run_checks"]
@@ -69,46 +64,29 @@ def _check_gradients(rng) -> CheckResult:
 
 
 def _check_projections(rng) -> CheckResult:
+    # one SMD step at eta 1 on a one-row 0/1 system is the KL projection onto its hyperplane
     feas_tol = 1e-12
     pyth_tol = 1e-9
-    worst_feas = worst_idem = worst_pyth = worst_red = 0.0
-    for _ in range(300):
+    step = SolverConfig(method="smd", tol=1e-300, max_iter=1)
+    worst_feas = worst_idem = worst_pyth = 0.0
+    for _ in range(200):
         d = int(rng.integers(3, 10))
         row = _random_row(rng, d, binary=True)
+        system = ConstraintSystem.from_rows([row], dimension=d)
         x = rng.uniform(0.1, 5.0, d)
-        z = project_binary(x, row)
+        z = solve_smd(system, x, step).final_iterate
         worst_feas = max(worst_feas, abs(row.dot(z) - row.b) / row.b)
-        z2 = project_binary(z, row)
+        z2 = solve_smd(system, z, step).final_iterate
         worst_idem = max(worst_idem, float(np.max(np.abs(z2 - z))) / max(float(np.max(z)), 1.0))
         y = rng.uniform(0.1, 5.0, d)
         y[row.indices] *= row.b / row.dot(y)
-        gap = bregman_div(y, x) - bregman_div(y, z) - bregman_div(z, x)
-        worst_pyth = max(worst_pyth, abs(gap) / max(1.0, bregman_div(y, x)))
-    for _ in range(300):
-        d = int(rng.integers(3, 10))
-        row = _random_row(rng, d, binary=False)
-        x = rng.uniform(0.1, 5.0, d)
-        z = project_general(x, row)
-        worst_feas = max(worst_feas, abs(row.dot(z) - row.b) / row.b)
-    for _ in range(100):
-        d = int(rng.integers(3, 10))
-        row = _random_row(rng, d, binary=True)
-        x = rng.uniform(0.1, 5.0, d)
-        za = project_binary(x, row)
-        zb = project_general(x, row)
-        worst_red = max(worst_red, float(np.max(np.abs(za - zb))) / max(float(np.max(za)), 1.0))
-    passed = (
-        worst_feas <= feas_tol
-        and worst_idem <= feas_tol
-        and worst_red <= feas_tol
-        and worst_pyth <= pyth_tol
-    )
+        gap = kl_div(y, x) - kl_div(y, z) - kl_div(z, x)
+        worst_pyth = max(worst_pyth, abs(gap) / max(1.0, kl_div(y, x)))
     return CheckResult(
         "projection_geometry",
-        passed,
-        f"feasibility {worst_feas:.3e}, idempotence {worst_idem:.3e}, "
-        f"binary-reduction {worst_red:.3e} (tol {feas_tol:.1e}); "
-        f"Pythagoras gap {worst_pyth:.3e} (tol {pyth_tol:.1e})",
+        worst_feas <= feas_tol and worst_idem <= feas_tol and worst_pyth <= pyth_tol,
+        f"SMD step on 200 0/1 rows: feasibility {worst_feas:.3e}, idempotence {worst_idem:.3e} "
+        f"(tol {feas_tol:.1e}); Pythagoras gap {worst_pyth:.3e} (tol {pyth_tol:.1e})",
     )
 
 
@@ -159,34 +137,27 @@ def _check_greenkhorn_smd(rng) -> CheckResult:
 
 
 def _check_pinkhorn_descent(rng) -> CheckResult:
+    # the penalty is L-relatively smooth with L = 2, and the default eta is 1/L: the
+    # default run must be the eta 1/L run bit for bit (its trace less the times)
+    def record(r):
+        return r.final_iterate.tobytes(), r.iterations, [(e.iteration, e.objective, e.violation_l1) for e in r.trace]
+
     tol = 1e-12
-    worst = -np.inf
+    cfg = SolverConfig(method="pinkhorn", tol=1e-12, max_iter=300)
+    worst, constants, same = -np.inf, set(), True
     for _ in range(3):
         problem = _random_problem(rng, 10)
-        report = pinkhorn(problem, SolverConfig(method="pinkhorn", tol=1e-12, max_iter=300))
+        L = as_constraint_system(problem).smooth_constant()
+        constants.add(L)
+        report = pinkhorn(problem, cfg)
+        same = same and record(report) == record(pinkhorn(problem, replace(cfg, eta=1.0 / L)))
         objs = [e.objective for e in report.trace]
         worst = max(worst, max(b - a for a, b in zip(objs, objs[1:])))
     return CheckResult(
         "pinkhorn_descent",
-        worst <= tol,
-        f"max objective increase over 3 runs: {worst:.3e} (tol {tol:.1e})",
-    )
-
-
-def _check_prox(rng) -> CheckResult:
-    tol = 1e-8
-    worst = 0.0
-    for _ in range(200):
-        x = float(np.exp(rng.uniform(-2.0, 2.0)))
-        c = float(rng.uniform(-3.0, 3.0))
-        eta = float(np.exp(rng.uniform(-2.0, 1.0)))
-        closed = bregman_prox_entropy_linear(np.array([x]), np.array([c]), eta)[0]
-        numeric = prox_1d_numeric(x, c, eta)
-        worst = max(worst, abs(closed - numeric))
-    return CheckResult(
-        "prox_closed_form",
-        worst <= tol,
-        f"max |closed - numeric| over 200 triples: {worst:.3e} (tol {tol:.1e})",
+        worst <= tol and constants == {2.0} and same,
+        f"L = {', '.join(f'{c:g}' for c in sorted(constants))}; default eta run {'equals' if same else 'differs from'} "
+        f"the eta 1/L run; max objective increase over 3 runs: {worst:.3e} (tol {tol:.1e})",
     )
 
 
@@ -199,5 +170,4 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
         _check_equivalence(rng),
         _check_greenkhorn_smd(rng),
         _check_pinkhorn_descent(rng),
-        _check_prox(rng),
     ]

@@ -1,9 +1,10 @@
-"""Entropy mirror map, KL divergence, and stable elementary operations.
+"""KL divergence and stable elementary operations.
 
-Everything here is a pure function of strictly positive double arrays, the
-natural domain of the entropy map x -> sum_i x_i (log x_i - 1).  Inputs with
-zeros or negative entries are rejected eagerly rather than patched with
-0*log(0) conventions.
+KL is the Bregman divergence of the entropy map x -> sum_i x_i (log x_i - 1),
+so one function is both the mirror-descent geometry and the penalty
+objective.  Everything here is a pure function of strictly positive double
+arrays, the natural domain of that map.  Inputs with zeros or negative
+entries are rejected eagerly rather than patched with 0*log(0) conventions.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ __all__ = [
     "as_positive_vector",
     "kl_terms",
     "kl_div",
-    "mirror_map",
-    "grad_mirror",
-    "bregman_div",
     "log_sum_exp",
 ]
 _F64 = np.dtype(np.float64)  # native float64; builtin dtypes are singletons
@@ -97,29 +95,6 @@ def kl_div(x, y) -> float:
     y = as_positive_vector(y)
     _check_same_shape(x, y)
     return float(np.sum(kl_terms(x, y)))
-
-
-def mirror_map(x) -> float:
-    """Entropy mirror map sum_i x_i (log x_i - 1)."""
-    x = as_positive_vector(x)
-    return float(np.sum(x * (np.log(x) - 1.0)))
-
-
-def grad_mirror(x) -> np.ndarray:
-    """Gradient of the entropy map: elementwise log."""
-    return np.log(as_positive_vector(x))
-
-
-def bregman_div(x, y) -> float:
-    """Bregman divergence of the entropy map, evaluated from its definition.
-
-    Computed as mirror_map(x) - mirror_map(y) - <grad_mirror(y), x - y>,
-    which for this map coincides with :func:`kl_div`.
-    """
-    x = as_positive_vector(x)
-    y = as_positive_vector(y)
-    _check_same_shape(x, y)
-    return float(mirror_map(x) - mirror_map(y) - grad_mirror(y) @ (x - y))
 
 
 def log_sum_exp(v, axis: int | None = None):

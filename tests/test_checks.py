@@ -1,6 +1,8 @@
 """Self-check suite used by the CLI check command."""
 
-from pinkhorn import CheckResult, SolverConfig, checks, run_checks, sinkhorn
+import dataclasses
+
+from pinkhorn import CheckResult, SolverConfig, checks, pinkhorn, run_checks, sinkhorn, solve_smd
 
 EXPECTED_NAMES = [
     "gradient_finite_difference",
@@ -8,7 +10,6 @@ EXPECTED_NAMES = [
     "sinkhorn_smd_equivalence",
     "greenkhorn_greedy_smd_equivalence",
     "pinkhorn_descent",
-    "prox_closed_form",
 ]
 
 
@@ -35,7 +36,7 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_a_failing_check_is_reported(monkeypatch):
-    monkeypatch.setattr(checks, "_check_prox", lambda rng: CheckResult("prox_closed_form", False, "forced"))
+    monkeypatch.setattr(checks, "_check_projections", lambda rng: CheckResult("projection_geometry", False, "forced"))
     results = run_checks(seed=0)
     assert any(not r.passed for r in results)
 
@@ -58,3 +59,29 @@ def test_equivalence_check_fails_when_sinkhorn_ignores_eta(monkeypatch):
     results = {r.name: r for r in run_checks(seed=0)}
     assert not results["sinkhorn_smd_equivalence"].passed
     assert all(r.passed for name, r in results.items() if name != "sinkhorn_smd_equivalence")
+
+
+def test_pinkhorn_check_fails_when_the_default_eta_is_not_one_over_l(monkeypatch):
+    # a default of 0.6 still descends here, but it is not 1/L for L = 2
+    def default_0_6(problem, cfg, callback=None):
+        return pinkhorn(problem, cfg if cfg.eta is not None else dataclasses.replace(cfg, eta=0.6), callback)
+
+    monkeypatch.setattr(checks, "pinkhorn", default_0_6)
+    results = {r.name: r for r in run_checks(seed=0)}
+    assert not results["pinkhorn_descent"].passed
+    assert "differs from" in results["pinkhorn_descent"].detail
+    assert all(r.passed for name, r in results.items() if name != "pinkhorn_descent")
+
+
+def test_projection_check_fails_when_the_smd_step_is_a_half_step(monkeypatch):
+    # eta 0.5 moves toward the hyperplane without reaching it; the greedy
+    # runs of the greenkhorn check keep their full step
+    def half_step(system, x0, cfg, callback=None):
+        if cfg.sampling != "greedy":
+            cfg = dataclasses.replace(cfg, eta=0.5)
+        return solve_smd(system, x0, cfg, callback)
+
+    monkeypatch.setattr(checks, "solve_smd", half_step)
+    results = {r.name: r for r in run_checks(seed=0)}
+    assert not results["projection_geometry"].passed
+    assert all(r.passed for name, r in results.items() if name != "projection_geometry")

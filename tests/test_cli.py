@@ -630,12 +630,12 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[-1] == "6/6 checks passed"
-        assert sum("PASS" in line for line in lines) == 6
+        assert lines[-1] == "5/5 checks passed"
+        assert sum("PASS" in line for line in lines) == 5
 
     def test_a_failing_check_exits_1(self, capsys, monkeypatch):
-        failed = pinkhorn.CheckResult("prox_closed_form", False, "forced")
-        monkeypatch.setattr(pinkhorn.checks, "_check_prox", lambda rng: failed)
+        failed = pinkhorn.CheckResult("projection_geometry", False, "forced")
+        monkeypatch.setattr(pinkhorn.checks, "_check_projections", lambda rng: failed)
         code, out, _ = run_cli(capsys, "check")
         assert code == 1
         assert "FAIL" in out
